@@ -84,25 +84,6 @@ void BM_wire_encode(benchmark::State& state) {
 }
 BENCHMARK(BM_wire_encode);
 
-void BM_wire_decode(benchmark::State& state) {
-    const auto datagrams = make_datagrams(make_feed(50000, 4, 7));
-    std::size_t total = 0;
-    v6::bench::pmu_meter pmu(state, 50000 * 4);
-    for (auto _ : state) {
-        net::wire_decoder dec;
-        std::vector<stream_record> records;
-        for (const auto& d : datagrams) {
-            records.clear();
-            dec.decode(d.data(), d.size(), records);
-            benchmark::DoNotOptimize(records.data());
-        }
-        total = dec.stats().records;
-    }
-    state.SetItemsProcessed(static_cast<std::int64_t>(total) *
-                            state.iterations());
-}
-BENCHMARK(BM_wire_decode);
-
 void BM_enrich_lookup(benchmark::State& state) {
     net::enrichment enrich(make_db_file());
     if (!enrich.reload()) state.SkipWithError("db reload failed");
@@ -119,50 +100,12 @@ void BM_enrich_lookup(benchmark::State& state) {
 }
 BENCHMARK(BM_enrich_lookup);
 
-// The collector rx loop minus the socket: decode every datagram and
-// push the records through ingest_batch into a live engine. Arg(0) is
-// the raw path; Arg(1) tags every record through the enrichment
+// The collector rx loop minus the socket: decode each datagram straight
+// into SoA lanes and feed the engine through ingest_block (one
+// push_block per datagram), the path the replay drivers run too. Arg(0)
+// is the raw path; Arg(1) tags every record through the enrichment
 // snapshot and the per-ASN ledger. The tracked claim is that /1 stays
 // within 10% of /0 (items_per_second).
-void BM_wire_ingest(benchmark::State& state) {
-    const auto feed = make_feed(50000, 4, 7);
-    const auto datagrams = make_datagrams(feed);
-    net::enrichment enrich(make_db_file());
-    if (!enrich.reload()) state.SkipWithError("db reload failed");
-    const bool enriched = state.range(0) != 0;
-    for (auto _ : state) {
-        stream_config cfg;
-        cfg.shards = 4;
-        stream_engine engine(cfg);
-        net::asn_ledger ledger;
-        net::wire_decoder dec;
-        net::lookup_cache cache;
-        std::vector<stream_record> records;
-        for (const auto& d : datagrams) {
-            records.clear();
-            dec.decode(d.data(), d.size(), records);
-            net::ingest_batch(engine, records, enriched ? &enrich : nullptr,
-                              enriched ? &ledger : nullptr, &cache);
-        }
-        engine.finish();
-        benchmark::DoNotOptimize(engine.stats().records);
-    }
-    state.SetItemsProcessed(static_cast<std::int64_t>(feed.size()) *
-                            state.iterations());
-    state.SetLabel(enriched ? "enriched" : "raw");
-}
-// Real time, not CPU time: the engine's shard threads do the bulk of
-// the work off the timing thread, and wall clock is what the <10%
-// enrichment-overhead claim is about.
-BENCHMARK(BM_wire_ingest)
-    ->Arg(0)
-    ->Arg(1)
-    ->Unit(benchmark::kMillisecond)
-    ->UseRealTime();
-
-// The block twin: decode each datagram straight into SoA lanes and feed
-// the engine one push_block per datagram (a single push-lock
-// acquisition), the path the collector rx loop and replay drivers run.
 void BM_wire_ingest_block(benchmark::State& state) {
     const auto feed = make_feed(50000, 4, 7);
     const auto datagrams = make_datagrams(feed);
@@ -190,6 +133,9 @@ void BM_wire_ingest_block(benchmark::State& state) {
                             state.iterations());
     state.SetLabel(enriched ? "enriched" : "raw");
 }
+// Real time, not CPU time: the engine's shard threads do the bulk of
+// the work off the timing thread, and wall clock is what the <10%
+// enrichment-overhead claim is about.
 BENCHMARK(BM_wire_ingest_block)
     ->Arg(0)
     ->Arg(1)
@@ -197,7 +143,7 @@ BENCHMARK(BM_wire_ingest_block)
     ->UseRealTime();
 
 void BM_wire_decode_block(benchmark::State& state) {
-    // Raw decode into lanes, no engine: pairs with BM_wire_decode.
+    // Raw decode into lanes, no engine.
     const auto datagrams = make_datagrams(make_feed(50000, 4, 7));
     std::size_t total = 0;
     v6::bench::pmu_meter pmu(state, 50000 * 4);

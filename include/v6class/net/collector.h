@@ -6,13 +6,13 @@
 //
 // Threading model: one rx thread per collector (per socket). The rx
 // thread owns the socket and the decoder; nothing else touches either.
-// It loops recvmmsg → decode → enrich → engine.push; when the socket
-// is dry it parks in poll() with a short timeout so stop() is observed
-// within ~50 ms. engine.push applies the engine's own backpressure (a
-// full shard queue blocks the rx thread, which in turn fills the
-// socket buffer and eventually drops datagrams at the kernel — the
-// classic collector overload behaviour, visible as rx drops, never as
-// corrupted state).
+// It loops recvmmsg → decode into SoA lanes → enrich → engine.push_block;
+// when the socket is dry it parks in poll() with a short timeout so
+// stop() is observed within ~50 ms. push_block applies the engine's own
+// backpressure (a full shard queue blocks the rx thread, which in turn
+// fills the socket buffer and eventually drops datagrams at the kernel
+// — the classic collector overload behaviour, visible as rx drops,
+// never as corrupted state).
 //
 // Every malformed datagram increments exactly one reason-labeled
 // rejection counter in v6::obs; the loopback e2e test asserts the
@@ -106,25 +106,17 @@ private:
     } m_;
 };
 
-/// Pushes one decoded batch into the engine, tagging every record
+/// Pushes one decoded block into the engine, tagging every record
 /// through one enrichment snapshot load and the ledger. Shared by the
 /// collector rx loop and the file/pcap replay drivers so both ingest
 /// paths are byte-identical from the decoder on.
 ///
 /// `cache` (optional) is a caller-owned per-/64 lookup memo carried
-/// across batches; ledger updates are aggregated per batch so the
-/// ledger mutex is taken once per datagram. Together these keep
-/// enrichment within a few percent of the raw ingest path
-/// (micro_wire_ingest tracks the ratio).
-void ingest_batch(stream_engine& engine, const std::vector<stream_record>& records,
-                  enrichment* enrich, asn_ledger* ledger,
-                  lookup_cache* cache = nullptr);
-
-/// Block-path twin of ingest_batch: enrichment memo probes read the hi
-/// lane directly and the engine is fed one push_block (a single
-/// push-lock acquisition per datagram). End state — engine contents,
-/// ledger rows, memo — is identical to ingest_batch over the same
-/// records.
+/// across blocks, probed by the hi lane; ledger updates are aggregated
+/// per block so the ledger mutex is taken once per datagram, and the
+/// engine is fed one push_block (a single push-lock acquisition per
+/// datagram). Together these keep enrichment within a few percent of
+/// the raw ingest path (micro_wire_ingest tracks the ratio).
 void ingest_block(stream_engine& engine, const simd::record_block& block,
                   enrichment* enrich, asn_ledger* ledger,
                   lookup_cache* cache = nullptr);

@@ -141,7 +141,7 @@ private:
 /// than /64, so for such a db the /64 network determines the match and
 /// the Patricia walk can be skipped for repeat networks — the common
 /// case for real traffic, where consecutive observations cluster in few
-/// networks. ingest_batch bypasses the memo entirely when the snapshot
+/// networks. ingest_block bypasses the memo entirely when the snapshot
 /// contains anything longer than /64, and resets it whenever the
 /// snapshot pointer changes (reload), so cached pointers never outlive
 /// the db they point into.

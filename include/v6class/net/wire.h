@@ -110,7 +110,8 @@ private:
     std::uint64_t seq_ = 0;
 };
 
-/// Decodes one datagram, appending records to `out`. Returns true when
+/// Decodes one datagram, appending its records straight into SoA lanes
+/// (hi/lo u64 pairs plus day/hits columns) of `out`. Returns true when
 /// the datagram was well-formed (records appended, stats.datagrams and
 /// stats.records incremented); false when rejected (one reject counter
 /// incremented, nothing appended). Sequence-gap accounting uses the
@@ -118,13 +119,6 @@ private:
 /// first datagram to carry any seq.
 class wire_decoder {
 public:
-    bool decode(const std::uint8_t* data, std::size_t len,
-                std::vector<stream_record>& out);
-
-    /// Block-path overload: appends straight into SoA lanes (hi/lo u64
-    /// pairs plus day/hits columns), skipping the per-record address
-    /// materialisation. Validation, stats, and sequence accounting are
-    /// byte-identical to the vector overload.
     bool decode(const std::uint8_t* data, std::size_t len,
                 simd::record_block& out);
 

@@ -77,6 +77,12 @@ public:
     }
     void push_back(const address& a) { push_back(a.hi(), a.lo()); }
 
+    void append(const address_block& other) {
+        hi_.insert(hi_.end(), other.hi_.begin(), other.hi_.end());
+        lo_.insert(lo_.end(), other.lo_.begin(), other.lo_.end());
+        if (size() > capacity_) capacity_ = size();
+    }
+
     std::uint64_t* hi() noexcept { return hi_.data(); }
     std::uint64_t* lo() noexcept { return lo_.data(); }
     const std::uint64_t* hi() const noexcept { return hi_.data(); }

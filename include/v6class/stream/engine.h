@@ -2,10 +2,14 @@
 // deployment of Section 5.1).
 //
 // Architecture: records pushed into the engine are staged per shard
-// (hash of the address), batched, and handed to one bounded MPSC queue
-// per shard; a worker thread per shard drains its queue and stages the
-// open day's records. When the pusher observes a day boundary it
-// broadcasts a seal marker behind the last batch of the finished day.
+// (FNV-1a hash of the address, as address_hash) as SoA address lanes,
+// batched, and handed to one bounded MPSC queue per shard; a worker
+// thread per shard drains its queue, feeds the day sketches from the
+// lanes, and appends them to the shard's open-day block. Lanes are the
+// only ingest currency from the wire decoder to the shard seal;
+// push(stream_record) is a thin adapter onto the same per-lane core.
+// When the pusher observes a day boundary it broadcasts a seal marker
+// behind the last batch of the finished day.
 // A single roll thread applies each seal across all shards behind an
 // exclusive state lock — the only writer of sealed state — advances the
 // epoch, releases the workers, and then *asynchronously* recomputes the
@@ -17,7 +21,9 @@
 // a whole number of days — never a half-rolled one. Per-address answers
 // (distinct counts, spectra, stability) merge exactly across shards
 // because the shards partition the address space; prefix-density and
-// MRA answers are computed from a merged tree built under the lock.
+// MRA answers are computed from a merged trie built under the lock from
+// the shards' observation-store keys (their one copy of the distinct
+// set).
 #pragma once
 
 #include <condition_variable>
@@ -45,6 +51,7 @@
 #include "v6class/stream/bounded_queue.h"
 #include "v6class/stream/record.h"
 #include "v6class/stream/shard.h"
+#include "v6class/trie/radix_tree.h"
 
 namespace v6 {
 
@@ -217,16 +224,16 @@ public:
 
     /// Accepts one record. Blocks only when the record's shard queue is
     /// full (backpressure). Records for a day older than the open day
-    /// are dropped and counted (sealed days are immutable). Ignored
-    /// after finish().
+    /// are dropped and counted (sealed days are immutable). Counted as
+    /// dropped after finish().
     void push(const stream_record& r);
     void push(int day, const address& a, std::uint64_t hits = 1) {
         push(stream_record{day, a, hits});
     }
 
     /// Accepts one decoded block (SoA lanes + day/hits columns) under a
-    /// single push-lock acquisition — the batch ingest path the wire
-    /// decoder feeds. Semantically identical to push() per record.
+    /// single push-lock acquisition — the ingest path the wire decoder
+    /// feeds. Semantically identical to push() per record.
     void push_block(const simd::record_block& block);
 
     /// Pushes staged partial batches to the shard queues (records stage
@@ -297,7 +304,7 @@ private:
         enum class kind { batch, seal };
         kind k = kind::batch;
         int day = kNoDay;  // seal only
-        std::vector<stream_record> batch;
+        simd::address_block batch{0};  // batch only
         // Span context riding the batch: captured at enqueue so the
         // worker's ingest span parents to the pusher's span and the
         // queue dwell time is recorded as a queue_wait span. Zero when
@@ -306,16 +313,16 @@ private:
         std::uint64_t enqueue_ns = 0;
     };
 
-    unsigned shard_of(const address& a) const noexcept {
-        return static_cast<unsigned>(address_hash{}(a) % cfg_.shards);
-    }
-
-    void push_locked(const stream_record& r);  // push_mutex_ held
+    // push_mutex_ held: the per-lane core behind push() and push_block().
+    void push_lane_locked(int day, std::uint64_t hi, std::uint64_t lo,
+                          std::uint64_t hits);
     void worker_loop(unsigned shard);
     void roll_loop();
     void flush_shard_locked(unsigned shard);   // push_mutex_ held
     void broadcast_seal_locked(int day);       // push_mutex_ held
     day_report build_report(int day) const;    // takes state_mutex_ shared
+    // state_mutex_ held (any mode): the shards' distinct /128s, sorted.
+    std::vector<address> sorted_distinct_locked() const;
     radix_tree merged_tree_locked() const;     // state_mutex_ held (any mode)
     void init_metrics();
     void init_live();
@@ -385,8 +392,12 @@ private:
     obs::p2_quantile p2_snap_p50_{0.5}, p2_snap_p99_{0.99};
 
     /// One live derived series: the registry gauge, the dashboard's
-    /// ring history, and its drift detector. All guarded by live_mutex_
-    /// (written once per seal by the roll thread, read by /dashboard).
+    /// ring history, and — for classification series only — its drift
+    /// detector. Introspection series (pool utilization, arena nodes,
+    /// ingest IPC) describe the machine, not the addresses, and pool
+    /// utilization and IPC move with scheduling noise, so they carry no
+    /// detector. All guarded by live_mutex_ (written once per seal by
+    /// the roll thread, read by /dashboard).
     struct live_series {
         std::string name;
         std::string help;
@@ -394,16 +405,16 @@ private:
         std::string label;   ///< tsdb label ("" or the class label value)
         obs::dgauge gauge;
         obs::ring_history history;
-        obs::ewma_detector detector;
+        std::optional<obs::ewma_detector> detector;
         bool alarmed = false;
         std::uint32_t tsdb_id = 0;
         /// Newest day already in the store at construction; seals at or
         /// before it are not re-appended (restart re-anchor).
         std::int64_t anchor = std::numeric_limits<std::int64_t>::min();
         live_series(std::string n, std::string h, obs::dgauge g,
-                    std::size_t capacity, const obs::drift_options& opt)
+                    std::size_t capacity)
             : name(std::move(n)), help(std::move(h)), gauge(g),
-              history(capacity), detector(opt) {}
+              history(capacity) {}
     };
     mutable std::mutex live_mutex_;
     std::vector<live_series> live_;
@@ -436,7 +447,7 @@ private:
     // (still written under push_mutex_, so stats() stays exact).
     std::mutex finish_mutex_;  // serializes finish() callers
     mutable std::mutex push_mutex_;
-    std::vector<std::vector<stream_record>> staging_;
+    std::vector<simd::address_block> staging_;  // per shard
     int open_day_ = kNoDay;
     bool finished_ = false;
 

@@ -5,10 +5,15 @@
 // what makes the per-address analyses (distinct counts, stability,
 // lifetime spectra) exactly mergeable: summing per-shard answers equals
 // the unsharded answer. Anything keyed by a *coarser* unit straddles
-// shards — prefix density and MRA are answered from a merged tree, and
-// the projected (/64) observation store lives in the engine, fed at
-// seal time — because two addresses of one /64 routinely hash to
-// different shards, so per-shard projected counts would double-count.
+// shards — prefix density and MRA are answered from a merged trie the
+// engine builds from every shard's observation-store keys, and the
+// projected (/64) observation store lives in the engine, fed at seal
+// time — because two addresses of one /64 routinely hash to different
+// shards, so per-shard projected counts would double-count.
+//
+// State is SoA end to end: the open day stages as address_block lanes,
+// and the flat /128 observation store is the shard's only copy of its
+// distinct set.
 //
 // Concurrency contract (enforced by stream_engine, not by this class):
 // `buffer` is called only by the shard's worker thread; `seal_day` and
@@ -19,11 +24,10 @@
 #include <cstdint>
 #include <vector>
 
-#include "v6class/stream/record.h"
+#include "v6class/simd/address_block.h"
 #include "v6class/temporal/daily_series.h"
 #include "v6class/temporal/observation_store.h"
 #include "v6class/temporal/stability.h"
-#include "v6class/trie/radix_tree.h"
 
 namespace v6 {
 
@@ -31,23 +35,20 @@ class stream_shard {
 public:
     stream_shard() : store128_(128) {}
 
-    /// Stages one record of the in-progress day. Sealed state is not
-    /// touched until seal_day.
-    void buffer(const stream_record& r) {
-        pending_.push_back(r.addr);
-        pending_hits_ += r.hits;
-    }
+    /// Stages one batch of the in-progress day's addresses. Sealed
+    /// state is not touched until seal_day.
+    void buffer(const simd::address_block& batch) { pending_.append(batch); }
 
-    /// Seals `day`: folds everything staged since the last seal into the
-    /// observation stores, the daily series, and the distinct-address
-    /// trie. Staged records all belong to `day` (the engine broadcasts a
-    /// seal marker before any newer-day record is enqueued).
+    /// Seals `day`: sorts and dedupes everything staged since the last
+    /// seal in place, then folds it into the observation store and the
+    /// daily series. Staged lanes all belong to `day` (the engine
+    /// broadcasts a seal marker before any newer-day record is
+    /// enqueued).
     void seal_day(int day);
 
     // ----- sealed-state queries (epoch-consistent under the engine) ----
 
     std::size_t distinct_addresses() const noexcept { return store128_.distinct_count(); }
-    std::uint64_t hits() const noexcept { return hits_; }
 
     const daily_series& series() const noexcept { return series_; }
     const observation_store& store() const noexcept { return store128_; }
@@ -63,21 +64,11 @@ public:
         return store128_.stability_spectrum(max_n);
     }
 
-    /// Adds this shard's distinct /128s into `out` (one add() each), for
-    /// the engine's merged density/MRA tree.
-    void merge_tree_into(radix_tree& out) const;
-
-    /// Appends this shard's distinct addresses (unsorted) to `out`.
-    void collect_addresses(std::vector<address>& out) const;
-
 private:
-    std::vector<address> pending_;      // staged records of the open day
-    std::uint64_t pending_hits_ = 0;
+    simd::address_block pending_{0};  // staged lanes of the open day
 
-    daily_series series_;               // per-day active sets (sealed days)
-    observation_store store128_;        // lifetime state at /128
-    radix_tree tree_;                   // distinct /128s, for density/MRA merges
-    std::uint64_t hits_ = 0;
+    daily_series series_;             // per-day active sets (sealed days)
+    observation_store store128_;      // lifetime state at /128
 };
 
 }  // namespace v6

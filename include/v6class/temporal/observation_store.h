@@ -47,6 +47,10 @@ public:
     /// Number of distinct addresses (or prefixes) ever seen.
     std::size_t distinct_count() const noexcept { return recs_.size(); }
 
+    /// Appends every distinct key (address, or masked prefix base) to
+    /// `out`'s lanes, in first-sighting order.
+    void append_keys(simd::address_block& out) const;
+
     /// Days on which `a` was active (0 when never seen).
     unsigned days_seen(const address& a) const noexcept;
 

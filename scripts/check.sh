@@ -239,16 +239,6 @@ for pair in ("parse", "format", "classify"):
 # the ratio (the short bench catches a quiet scheduler window far more
 # often than the long one).  The absolute-time gate above pins the
 # flat store's ~6x ingest win over the unordered_map seed directly.
-
-w = seconds("BENCH_wire.json")
-claim("wire block decode vs record decode",
-      w["BM_wire_decode_block"], w["BM_wire_decode"], 1.3)
-# End-to-end ingest is engine/scheduler bound (wall clock on this box
-# is dominated by shard-thread scheduling); the block path must at
-# least never meaningfully regress against the per-record path.
-assert (w["BM_wire_ingest_block/0/real_time"]
-        <= w["BM_wire_ingest/0/real_time"] * 1.25), "wire block ingest regressed"
-print("simd gate ok: wire block ingest within budget of record path")
 EOF
 
         # Collector smoke: the real binaries end to end over loopback

@@ -12,7 +12,7 @@
 
 namespace v6::net {
 
-void ingest_batch(stream_engine& engine, const std::vector<stream_record>& records,
+void ingest_block(stream_engine& engine, const simd::record_block& block,
                   enrichment* enrich, asn_ledger* ledger, lookup_cache* cache) {
     std::shared_ptr<const asn_db> snap;
     if (enrich) snap = enrich->snapshot();
@@ -24,51 +24,8 @@ void ingest_batch(stream_engine& engine, const std::vector<stream_record>& recor
     if (memo && !cache->matches(db)) cache->reset(db);
 
     // Aggregate ledger rows per (day, info) so the ledger mutex is
-    // taken once per batch. A wire datagram holds at most a handful of
+    // taken once per block. A wire datagram holds at most a handful of
     // distinct day/ASN combinations, so a linear scan beats any map.
-    std::vector<asn_ledger::note_row> agg;
-    for (const stream_record& r : records) {
-        if (ledger) {
-            const enrich_info* info = nullptr;
-            if (db) {
-                if (memo) {
-                    const std::uint64_t hi = r.addr.hi();
-                    lookup_cache::slot& s =
-                        cache->slots[(hi * 0x9e3779b97f4a7c15ull) >>
-                                     (64 - 8)];  // kSlots == 256
-                    if (s.valid && s.hi == hi) {
-                        info = s.info;
-                    } else {
-                        info = db->lookup(r.addr);
-                        s = {hi, info, true};
-                    }
-                } else {
-                    info = db->lookup(r.addr);
-                }
-            }
-            bool merged = false;
-            for (asn_ledger::note_row& a : agg)
-                if (a.day == r.day && a.info == info) {
-                    ++a.records;
-                    a.hits += r.hits;
-                    merged = true;
-                    break;
-                }
-            if (!merged) agg.push_back({r.day, info, 1, r.hits});
-        }
-        engine.push(r);
-    }
-    if (!agg.empty()) ledger->note_many(agg.data(), agg.size());
-}
-
-void ingest_block(stream_engine& engine, const simd::record_block& block,
-                  enrichment* enrich, asn_ledger* ledger, lookup_cache* cache) {
-    std::shared_ptr<const asn_db> snap;
-    if (enrich) snap = enrich->snapshot();
-    const asn_db* db = snap.get();
-    const bool memo = cache && db && db->max_length() <= 64;
-    if (memo && !cache->matches(db)) cache->reset(db);
-
     std::vector<asn_ledger::note_row> agg;
     if (ledger) {
         const std::uint64_t* his = block.addrs.hi();

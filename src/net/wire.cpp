@@ -125,24 +125,6 @@ bool wire_decoder::accept(const std::uint8_t* data, std::size_t len,
 }
 
 bool wire_decoder::decode(const std::uint8_t* data, std::size_t len,
-                          std::vector<stream_record>& out) {
-    std::size_t count = 0;
-    if (!accept(data, len, count)) return false;
-    const std::uint8_t* p = data + kWireHeaderSize;
-    out.reserve(out.size() + count);
-    for (std::size_t i = 0; i < count; ++i, p += kWireRecordSize) {
-        std::array<std::uint8_t, 16> bytes;
-        std::memcpy(bytes.data(), p, 16);
-        stream_record r;
-        r.addr = address{bytes};
-        r.day = static_cast<std::int32_t>(get_u32(p + 16));
-        r.hits = get_u64(p + 20);
-        out.push_back(r);
-    }
-    return true;
-}
-
-bool wire_decoder::decode(const std::uint8_t* data, std::size_t len,
                           simd::record_block& out) {
     std::size_t count = 0;
     if (!accept(data, len, count)) return false;

@@ -1,6 +1,7 @@
 #include "v6class/stream/engine.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "v6class/obs/introspect.h"
 #include "v6class/obs/pmu.h"
@@ -10,6 +11,32 @@
 #include "v6class/simd/kernels.h"
 
 namespace v6 {
+
+namespace {
+
+/// FNV-1a over an address's 16 bytes read from its (hi, lo) lanes —
+/// address_hash's hash, with the running value snapshotted after the
+/// /48 and /64 bytes. Shard choice uses `p128`; the day sketches use
+/// all three, so their registers match any node hashing the bytes.
+struct lane_hashes {
+    std::uint64_t p48, p64, p128;
+};
+
+inline lane_hashes fnv1a_lanes(std::uint64_t hi, std::uint64_t lo) noexcept {
+    constexpr std::uint64_t kPrime = 1099511628211ull;
+    std::uint64_t h = 1469598103934665603ull;
+    lane_hashes out{};
+    for (int i = 0; i < 8; ++i) {
+        h = (h ^ ((hi >> (56 - 8 * i)) & 0xff)) * kPrime;
+        if (i == 5) out.p48 = h;
+    }
+    out.p64 = h;
+    for (int i = 0; i < 8; ++i) h = (h ^ ((lo >> (56 - 8 * i)) & 0xff)) * kPrime;
+    out.p128 = h;
+    return out;
+}
+
+}  // namespace
 
 void stream_engine::init_metrics() {
     if (cfg_.metrics_registry) {
@@ -89,19 +116,22 @@ void stream_engine::init_metrics() {
 void stream_engine::init_live() {
     // Domain-level (classification) series live in the v6class_*
     // namespace, infrastructure series in v6_stream_* — see DESIGN.md
-    // "Observability". Each gets a ring history and a drift detector.
+    // "Observability". Each gets a ring history; the classification
+    // series also get a drift detector.
     obs::registry& reg = *metrics_;
     drift_events_ = reg.get_counter(
         "v6class_drift_events_total", {},
         "Drift alarms raised over the live derived series.");
     const auto add = [&](std::string name, const std::string& metric,
-                         std::string help, obs::label_list labels = {}) {
+                         std::string help, obs::label_list labels = {},
+                         bool detect = true) {
         // The tsdb label is the first label's value ("" when unlabeled)
         // — enough to tell the dense-class series apart.
         std::string label = labels.empty() ? std::string{} : labels[0].second;
         live_.emplace_back(std::move(name), help,
                            reg.get_dgauge(metric, std::move(labels), help),
-                           cfg_.history, cfg_.drift);
+                           cfg_.history);
+        if (detect) live_.back().detector.emplace(cfg_.drift);
         live_.back().metric = metric;
         live_.back().label = std::move(label);
         return live_.size() - 1;
@@ -144,19 +174,24 @@ void stream_engine::init_live() {
     }
     // Infrastructure introspection surfaced as sparklines: how busy the
     // work pool's seats were between seals and how large the merged
-    // trie's arena has grown.
+    // trie's arena has grown. No drift detector: these describe the
+    // machine, not the addresses, and a steady feed must raise no drift
+    // events on scheduling noise.
     li_pool_util_ = add("pool util", "v6_par_pool_utilization",
                         "v6::par pool seat utilization between this seal "
-                        "and the previous one (0..1).");
+                        "and the previous one (0..1).",
+                        {}, false);
     li_arena_nodes_ = add("arena nodes", "v6_trie_arena_nodes",
-                          "Live node slots in the merged trie's arena.");
+                          "Live node slots in the merged trie's arena.", {},
+                          false);
     // Per-interval ingest IPC rides the same machinery, but only where
     // a hardware PMU exists — a permanently-zero series would just
     // waste a dashboard tile and tsdb space on software-only boxes.
     if (obs::pmu::available().hardware())
         li_pmu_ipc_ = add("ingest ipc", "v6class_pmu_ingest_ipc",
                           "Instructions per cycle inside shard.ingest_batch "
-                          "scopes between this seal and the previous one.");
+                          "scopes between this seal and the previous one.",
+                          {}, false);
 
     // Flight-recorder re-anchor: intern every live series in the store
     // and read back its newest stored day, so re-sealing already-stored
@@ -203,9 +238,10 @@ stream_engine::stream_engine(stream_config cfg)
     }
     shards_.reserve(cfg_.shards);
     queues_.reserve(cfg_.shards);
-    staging_.resize(cfg_.shards);
+    staging_.reserve(cfg_.shards);
     drained_day_.assign(cfg_.shards, kNoDay);
     for (unsigned i = 0; i < cfg_.shards; ++i) {
+        staging_.emplace_back(cfg_.batch_size);
         shards_.push_back(std::make_unique<stream_shard>());
         queues_.push_back(
             std::make_unique<bounded_queue<shard_message>>(cfg_.queue_capacity));
@@ -222,60 +258,60 @@ stream_engine::~stream_engine() { finish(); }
 
 void stream_engine::push(const stream_record& r) {
     std::unique_lock lock(push_mutex_);
-    push_locked(r);
+    push_lane_locked(r.day, r.addr.hi(), r.addr.lo(), r.hits);
 }
 
 void stream_engine::push_block(const simd::record_block& block) {
     // One lock acquisition per block (up to kWireMaxBatch records), not
-    // per record — the contention the vector path pays per datagram.
+    // per record.
     std::unique_lock lock(push_mutex_);
     const std::uint64_t* his = block.addrs.hi();
     const std::uint64_t* los = block.addrs.lo();
     for (std::size_t i = 0; i < block.size(); ++i)
-        push_locked(stream_record{block.day[i],
-                                  address::from_pair(his[i], los[i]),
-                                  block.hits[i]});
+        push_lane_locked(block.day[i], his[i], los[i], block.hits[i]);
 }
 
-void stream_engine::push_locked(const stream_record& r) {
+void stream_engine::push_lane_locked(int day, std::uint64_t hi,
+                                     std::uint64_t lo, std::uint64_t hits) {
     m_.fed.inc();
     if (finished_) {
         m_.dropped.inc();
         return;
     }
     if (open_day_ == kNoDay) {
-        open_day_ = r.day;
-        m_.open_day.set(r.day);
+        open_day_ = day;
+        m_.open_day.set(day);
     }
-    if (r.day < open_day_) {
+    if (day < open_day_) {
         // Sealed (or about-to-seal) days are immutable; accepting this
         // record would tear the epoch. Count it so operators can see
         // feed disorder beyond the tolerated batching slew.
         m_.late.inc();
         return;
     }
-    if (r.day > open_day_) {
+    if (day > open_day_) {
         // Day boundary: everything staged belongs to the finished day;
         // get it into the queues ahead of the seal markers.
         for (unsigned i = 0; i < cfg_.shards; ++i) flush_shard_locked(i);
         broadcast_seal_locked(open_day_);
-        open_day_ = r.day;
-        m_.open_day.set(r.day);
+        open_day_ = day;
+        m_.open_day.set(day);
         // Lag is meaningful once sealing has started; both gauges are
         // atomics, so reading the roll thread's side here is safe.
         if (m_.seals.value() > 0)
-            m_.epoch_lag.set(r.day - m_.sealed_day.value());
+            m_.epoch_lag.set(day - m_.sealed_day.value());
     }
     m_.records.inc();
-    m_.hits.inc(r.hits);
+    m_.hits.inc(hits);
     if (cfg_.sketches && ++quantile_tick_ >= cfg_.quantile_sample) {
         quantile_tick_ = 0;
-        const auto h = static_cast<double>(r.hits);
+        const auto h = static_cast<double>(hits);
         hits_p50_.observe(h);
         hits_p99_.observe(h);
     }
-    const unsigned shard = shard_of(r.addr);
-    staging_[shard].push_back(r);
+    const auto shard =
+        static_cast<unsigned>(fnv1a_lanes(hi, lo).p128 % cfg_.shards);
+    staging_[shard].push_back(hi, lo);
     if (staging_[shard].size() >= cfg_.batch_size) flush_shard_locked(shard);
 }
 
@@ -289,8 +325,8 @@ void stream_engine::flush_shard_locked(unsigned shard) {
     if (staging_[shard].empty()) return;
     shard_message msg;
     msg.k = shard_message::kind::batch;
-    msg.batch = std::move(staging_[shard]);
-    staging_[shard] = {};
+    msg.batch = std::exchange(staging_[shard],
+                              simd::address_block(cfg_.batch_size));
     if (obs::tracer::enabled()) {
         // Span context rides the batch: the shard worker adopts it and
         // accounts the queue dwell as a queue_wait span.
@@ -390,27 +426,24 @@ void stream_engine::worker_loop(unsigned shard) {
             obs::context_scope adopt(msg->ctx);
             obs::span batch_span("shard.ingest_batch");
             obs::pmu_scope batch_pmu("shard.ingest_batch");
+            const simd::address_block& batch = msg->batch;
             if (cfg_.sketches) {
                 // The day sketches ride the worker, not the pusher: the
                 // hashing parallelizes across shards and stays off the
                 // feed thread (bench/micro_sketch prices this). One
-                // FNV-1a walk over the 16 bytes, snapshotted at the /48
-                // and /64 boundaries, yields all three sketch hashes
-                // without masked-address copies.
+                // FNV-1a walk over the lanes' 16 bytes, snapshotted at
+                // the /48 and /64 boundaries, yields all three sketch
+                // hashes without masked-address copies.
                 day_sketches& sk = shard_sketches_[shard];
-                for (const stream_record& r : msg->batch) {
-                    const auto& b = r.addr.bytes();
-                    std::uint64_t h = 1469598103934665603ull;
-                    std::size_t i = 0;
-                    for (; i < 6; ++i) h = (h ^ b[i]) * 1099511628211ull;
-                    sk.p48s.add(h);
-                    for (; i < 8; ++i) h = (h ^ b[i]) * 1099511628211ull;
-                    sk.p64s.add(h);
-                    for (; i < 16; ++i) h = (h ^ b[i]) * 1099511628211ull;
-                    sk.addresses.add(h);
+                for (std::size_t i = 0; i < batch.size(); ++i) {
+                    const lane_hashes h =
+                        fnv1a_lanes(batch.hi_at(i), batch.lo_at(i));
+                    sk.p48s.add(h.p48);
+                    sk.p64s.add(h.p64);
+                    sk.addresses.add(h.p128);
                 }
             }
-            for (const stream_record& r : msg->batch) shards_[shard]->buffer(r);
+            shards_[shard]->buffer(batch);
             continue;
         }
         // Seal marker: hand the fully-staged day to the roll thread and
@@ -640,7 +673,8 @@ void stream_engine::update_live(const day_report& report) {
         live_series& s = live_[idx];
         s.history.push(v);
         s.gauge.set(v);
-        const std::optional<obs::ewma_detector::alarm> a = s.detector.update(v);
+        const std::optional<obs::ewma_detector::alarm> a =
+            s.detector ? s.detector->update(v) : std::nullopt;
         s.alarmed = a.has_value();
         if (a) {
             drift_events_.inc();
@@ -788,20 +822,24 @@ int stream_engine::sealed_day() const {
     return sealed_day_;
 }
 
-radix_tree stream_engine::merged_tree_locked() const {
+std::vector<address> stream_engine::sorted_distinct_locked() const {
     // The shards partition the /128 space by address hash, so their
-    // distinct sets concatenate without overlap: collect, sort once, and
-    // bulk-build the merged trie bottom-up instead of re-inserting node
-    // by node.
-    obs::span span("merge_tree", obs::span_kind::merge);
-    std::vector<address> addrs;
+    // observation-store keys concatenate without overlap: collect the
+    // lanes and radix-sort them once.
     std::size_t total = 0;
     for (const auto& s : shards_) total += s->distinct_addresses();
-    addrs.reserve(total);
-    for (const auto& s : shards_) s->collect_addresses(addrs);
-    std::sort(addrs.begin(), addrs.end());
+    simd::address_block keys(total);
+    for (const auto& s : shards_) s->store().append_keys(keys);
+    simd::sort_block(keys);
+    return keys.to_vector();
+}
+
+radix_tree stream_engine::merged_tree_locked() const {
+    // Bulk-built bottom-up from the sorted distinct set instead of
+    // re-inserting node by node.
+    obs::span span("merge_tree", obs::span_kind::merge);
     radix_tree merged;
-    merged.bulk_build(addrs);
+    merged.bulk_build(sorted_distinct_locked());
     return merged;
 }
 
@@ -868,10 +906,7 @@ std::vector<density_row> stream_engine::density_table(
 
 std::vector<address> stream_engine::distinct_addresses() const {
     std::shared_lock state(state_mutex_);
-    std::vector<address> out;
-    for (const auto& s : shards_) s->collect_addresses(out);
-    std::sort(out.begin(), out.end());
-    return out;
+    return sorted_distinct_locked();
 }
 
 mra_series stream_engine::mra() const { return compute_mra(distinct_addresses()); }

@@ -181,6 +181,12 @@ void observation_store::record_day(int day, const simd::address_block& active) {
     }
 }
 
+void observation_store::append_keys(simd::address_block& out) const {
+    out.reserve(out.size() + key_hi_.size());
+    for (std::size_t i = 0; i < key_hi_.size(); ++i)
+        out.push_back(key_hi_[i], key_lo_[i]);
+}
+
 unsigned observation_store::days_seen(const address& a) const noexcept {
     std::uint64_t hi = a.hi(), lo = a.lo();
     mask_pair(hi, lo, prefix_length_);

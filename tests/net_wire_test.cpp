@@ -2,7 +2,8 @@
 // fuzz-resistance property (a decoder fed arbitrary mutations never
 // reads out of bounds, never mis-parses, and accounts every datagram
 // as exactly accepted-or-rejected-once), sequence accounting, the file
-// container, and pcap extraction.
+// container, and pcap extraction. Every decode goes through the SoA
+// block decoder, the one the collector and replay drivers run.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -10,6 +11,7 @@
 
 #include "v6class/net/wire.h"
 #include "v6class/netgen/rng.h"
+#include "v6class/simd/address_block.h"
 
 namespace v6 {
 namespace {
@@ -24,6 +26,15 @@ std::vector<stream_record> make_records(std::size_t n, std::uint64_t seed = 1) {
                            address::from_pair(high, low), 1 + (i % 97)});
     }
     return records;
+}
+
+/// The decoded lanes as records, for comparison with the encoder input.
+std::vector<stream_record> to_records(const simd::record_block& block) {
+    std::vector<stream_record> out;
+    out.reserve(block.size());
+    for (std::size_t i = 0; i < block.size(); ++i)
+        out.push_back({block.day[i], block.addrs.at(i), block.hits[i]});
+    return out;
 }
 
 std::vector<std::vector<std::uint8_t>> encode_datagrams(
@@ -57,10 +68,10 @@ TEST(WireCodec, RoundTripAllBatchSizes) {
         const auto datagrams = encode_datagrams(records, batch);
         EXPECT_EQ(datagrams.size(), (records.size() + batch - 1) / batch);
         net::wire_decoder dec;
-        std::vector<stream_record> out;
+        simd::record_block out;
         for (const auto& d : datagrams)
             EXPECT_TRUE(dec.decode(d.data(), d.size(), out));
-        EXPECT_EQ(out, records) << "batch " << batch;
+        EXPECT_EQ(to_records(out), records) << "batch " << batch;
         EXPECT_EQ(dec.stats().records, records.size());
         EXPECT_EQ(dec.stats().rejected(), 0u);
         EXPECT_EQ(dec.stats().seq_gaps, 0u);
@@ -70,7 +81,7 @@ TEST(WireCodec, RoundTripAllBatchSizes) {
 TEST(WireCodec, RejectsEachMalformation) {
     const auto records = make_records(5);
     const auto good = encode_datagrams(records, 5)[0];
-    std::vector<stream_record> out;
+    simd::record_block out;
 
     {  // shorter than the header
         net::wire_decoder dec;
@@ -136,7 +147,7 @@ TEST(WireCodec, PropertyCorruptionNeverMisparses) {
             for (std::size_t i = 0; i < extra; ++i)
                 mutated.push_back(static_cast<std::uint8_t>(r.uniform(256)));
         }
-        std::vector<stream_record> out;
+        simd::record_block out;
         const bool ok = dec.decode(mutated.data(), mutated.size(), out);
         ++attempts;
         if (ok) {
@@ -158,7 +169,7 @@ TEST(WireCodec, SequenceGapAndReorderAccounting) {
     const auto datagrams = encode_datagrams(records, 10);  // seq 0..3
     ASSERT_EQ(datagrams.size(), 4u);
     net::wire_decoder dec;
-    std::vector<stream_record> out;
+    simd::record_block out;
     auto feed = [&](std::size_t i) {
         ASSERT_TRUE(dec.decode(datagrams[i].data(), datagrams[i].size(), out));
     };
@@ -184,10 +195,10 @@ TEST(WireFile, RoundTripAndRejectsCorruptContainer) {
     ASSERT_TRUE(reader.valid());
     net::wire_decoder dec;
     std::vector<std::uint8_t> d;
-    std::vector<stream_record> out;
+    simd::record_block out;
     while (reader.next(d)) EXPECT_TRUE(dec.decode(d.data(), d.size(), out));
     EXPECT_TRUE(reader.error().empty());
-    EXPECT_EQ(out, records);
+    EXPECT_EQ(to_records(out), records);
 
     // Corrupt the file magic: the reader must refuse the whole file.
     {
@@ -279,7 +290,7 @@ TEST(Pcap, ExtractsWireDatagramsWithPortFilter) {
     }
 
     net::wire_decoder dec;
-    std::vector<stream_record> out;
+    simd::record_block out;
     std::string error;
     const auto stats = net::pcap_extract_udp(
         path, 4739,
@@ -291,17 +302,18 @@ TEST(Pcap, ExtractsWireDatagramsWithPortFilter) {
     EXPECT_EQ(stats->skipped, 1u);
     EXPECT_EQ(stats->malformed, 0u);
     ASSERT_EQ(out.size(), 10u);
-    EXPECT_TRUE(std::equal(out.begin(), out.end(), records.begin()));
+    EXPECT_EQ(to_records(out), std::vector<stream_record>(records.begin(),
+                                                          records.begin() + 10));
 
     // Port 0 delivers everything.
     net::wire_decoder dec_all;
-    std::vector<stream_record> all;
+    simd::record_block all;
     const auto stats_all = net::pcap_extract_udp(
         path, 0,
         [&](const std::uint8_t* p, std::size_t len) { dec_all.decode(p, len, all); },
         &error);
     ASSERT_TRUE(stats_all.has_value());
-    EXPECT_EQ(all, records);
+    EXPECT_EQ(to_records(all), records);
 }
 
 TEST(Pcap, RejectsNonPcapFile) {

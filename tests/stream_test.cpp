@@ -4,6 +4,7 @@
 // flight).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <sstream>
 #include <thread>
@@ -11,6 +12,8 @@
 #include "v6class/netgen/rng.h"
 #include "v6class/obs/alert.h"
 #include "v6class/obs/metrics.h"
+#include "v6class/obs/sketch.h"
+#include "v6class/simd/address_block.h"
 #include "v6class/stream/bounded_queue.h"
 #include "v6class/stream/engine.h"
 #include "v6class/temporal/stability.h"
@@ -610,6 +613,159 @@ TEST(StreamLiveTest, DayReportCarriesDerivedSeries) {
     EXPECT_LE(report->stable_fraction, 1.0);
     EXPECT_NEAR(report->est_day_addresses, 100.0, 5.0);
 }
+
+// ------------------------------------------------ push vs push_block
+
+/// Three days of records with a late one mid-day-2, as one feed; the
+/// tests cut it into blocks whose edges fall inside days.
+std::vector<stream_record> boundary_feed() {
+    rng r{4291};
+    std::vector<stream_record> feed;
+    for (int day = 1; day <= 3; ++day)
+        for (unsigned i = 0; i < 150; ++i) {
+            if (day == 2 && i == 40) feed.push_back({1, nth(999), 3});  // late
+            const std::uint64_t hi =
+                0x20010db800000000ull | (r.uniform(6) << 16) | r.uniform(3);
+            feed.push_back({day, address::from_pair(hi, r.uniform(200)),
+                            1 + r.uniform(9)});
+        }
+    return feed;
+}
+
+simd::record_block to_block(const stream_record* first, std::size_t n) {
+    simd::record_block block(n);
+    for (std::size_t i = 0; i < n; ++i)
+        block.push_back(first[i].addr.hi(), first[i].addr.lo(), first[i].day,
+                        first[i].hits);
+    return block;
+}
+
+/// FNV-1a over the first `n` address bytes, computed independently of
+/// the engine: the hash every node's day sketches must share for
+/// v6agg's cross-node register union to be exact.
+std::uint64_t fnv1a_prefix(const address& a, std::size_t n) {
+    std::uint64_t h = 1469598103934665603ull;
+    for (std::size_t i = 0; i < n; ++i) h = (h ^ a.bytes()[i]) * 1099511628211ull;
+    return h;
+}
+
+void expect_same_density(const std::vector<density_row>& a,
+                         const std::vector<density_row>& b) {
+    ASSERT_EQ(a.size(), b.size());
+    for (std::size_t i = 0; i < a.size(); ++i) {
+        EXPECT_EQ(a[i].n, b[i].n);
+        EXPECT_EQ(a[i].p, b[i].p);
+        EXPECT_EQ(a[i].dense_prefix_count, b[i].dense_prefix_count);
+        EXPECT_EQ(a[i].covered_addresses, b[i].covered_addresses);
+        EXPECT_EQ(a[i].address_density, b[i].address_density);
+    }
+}
+
+class StreamPushPathTest : public testing::TestWithParam<unsigned> {};
+
+TEST_P(StreamPushPathTest, PushAndPushBlockAgree) {
+    const unsigned shards = GetParam();
+    const std::vector<stream_record> feed = boundary_feed();
+    const std::vector<stream_record> after{{4, nth(1), 1}, {4, nth(2), 1}};
+    stream_config cfg = live_config(shards);
+    ASSERT_EQ(cfg.batch_size, 8u);
+
+    stream_engine one(cfg);
+    for (const stream_record& r : feed) one.push(r);
+    one.finish();
+    for (const stream_record& r : after) one.push(r);
+
+    stream_engine blocks(cfg);
+    constexpr std::size_t kBlock = 37;  // edges fall inside days
+    for (std::size_t i = 0; i < feed.size(); i += kBlock)
+        blocks.push_block(
+            to_block(feed.data() + i, std::min(kBlock, feed.size() - i)));
+    blocks.finish();
+    blocks.push_block(to_block(after.data(), after.size()));
+
+    // stats(): every field, including the post-finish drops.
+    const stream_stats sa = one.stats(), sb = blocks.stats();
+    EXPECT_EQ(sb.fed, feed.size() + after.size());
+    EXPECT_EQ(sb.late_dropped, 1u);
+    EXPECT_EQ(sb.dropped, after.size());
+    EXPECT_EQ(sa.fed, sb.fed);
+    EXPECT_EQ(sa.records, sb.records);
+    EXPECT_EQ(sa.hits, sb.hits);
+    EXPECT_EQ(sa.late_dropped, sb.late_dropped);
+    EXPECT_EQ(sa.dropped, sb.dropped);
+    EXPECT_EQ(sa.batches, sb.batches);
+    EXPECT_EQ(sa.open_day, sb.open_day);
+    EXPECT_EQ(sa.sealed_day, sb.sealed_day);
+    EXPECT_EQ(sa.distinct_addresses, sb.distinct_addresses);
+    EXPECT_EQ(sa.distinct_projected, sb.distinct_projected);
+
+    // snapshot(): every field.
+    const stream_snapshot na = one.snapshot(), nb = blocks.snapshot();
+    EXPECT_EQ(nb.epoch, 3);
+    EXPECT_EQ(na.epoch, nb.epoch);
+    EXPECT_EQ(na.records, nb.records);
+    EXPECT_EQ(na.hits, nb.hits);
+    EXPECT_EQ(na.late_dropped, nb.late_dropped);
+    EXPECT_EQ(na.distinct_addresses, nb.distinct_addresses);
+    EXPECT_EQ(na.distinct_projected, nb.distinct_projected);
+    EXPECT_EQ(na.spectrum, nb.spectrum);
+    expect_same_density(na.density, nb.density);
+
+    // reports(): every field except the two timing-derived ones
+    // (pool utilization, ingest IPC).
+    const auto ra = one.reports(), rb = blocks.reports();
+    ASSERT_EQ(rb.size(), 3u);
+    ASSERT_EQ(ra.size(), rb.size());
+    for (std::size_t d = 0; d < ra.size(); ++d) {
+        EXPECT_EQ(ra[d].day, rb[d].day);
+        EXPECT_EQ(ra[d].ref_day, rb[d].ref_day);
+        EXPECT_EQ(ra[d].active, rb[d].active);
+        EXPECT_EQ(ra[d].stable, rb[d].stable);
+        EXPECT_EQ(ra[d].not_stable, rb[d].not_stable);
+        EXPECT_EQ(ra[d].distinct_addresses, rb[d].distinct_addresses);
+        EXPECT_EQ(ra[d].distinct_projected, rb[d].distinct_projected);
+        expect_same_density(ra[d].density, rb[d].density);
+        EXPECT_EQ(ra[d].gamma1, rb[d].gamma1);
+        EXPECT_EQ(ra[d].gamma4, rb[d].gamma4);
+        EXPECT_EQ(ra[d].gamma16, rb[d].gamma16);
+        EXPECT_EQ(ra[d].stable_fraction, rb[d].stable_fraction);
+        EXPECT_EQ(ra[d].est_day_addresses, rb[d].est_day_addresses);
+        EXPECT_EQ(ra[d].est_day_48s, rb[d].est_day_48s);
+        EXPECT_EQ(ra[d].est_day_64s, rb[d].est_day_64s);
+        EXPECT_EQ(ra[d].arena_nodes, rb[d].arena_nodes);
+        EXPECT_EQ(ra[d].arena_free, rb[d].arena_free);
+    }
+
+    // The day sketches hash exactly FNV-1a over 16/6/8 address bytes:
+    // each report's estimates equal independently fed HLLs'. The
+    // shards follow address_hash, so per-shard counts are pinned too.
+    std::vector<std::uint64_t> per_shard(shards, 0);
+    for (std::size_t d = 0; d < rb.size(); ++d) {
+        obs::hyperloglog addrs(cfg.hll_precision), p48s(cfg.hll_precision),
+            p64s(cfg.hll_precision);
+        int open = kNoDay;
+        for (const stream_record& r : feed) {
+            open = std::max(open, r.day);
+            if (r.day != rb[d].day || r.day < open) continue;  // other day / late
+            addrs.add(fnv1a_prefix(r.addr, 16));
+            p48s.add(fnv1a_prefix(r.addr, 6));
+            p64s.add(fnv1a_prefix(r.addr, 8));
+            ++per_shard[address_hash{}(r.addr) % shards];
+        }
+        EXPECT_EQ(rb[d].est_day_addresses, addrs.estimate()) << "day " << rb[d].day;
+        EXPECT_EQ(rb[d].est_day_48s, p48s.estimate()) << "day " << rb[d].day;
+        EXPECT_EQ(rb[d].est_day_64s, p64s.estimate()) << "day " << rb[d].day;
+    }
+    for (unsigned i = 0; i < shards; ++i)
+        EXPECT_EQ(blocks.metrics()
+                      .get_counter("v6_stream_shard_records_total",
+                                   {{"shard", std::to_string(i)}})
+                      .value(),
+                  per_shard[i])
+            << "shard " << i;
+}
+
+INSTANTIATE_TEST_SUITE_P(Shards, StreamPushPathTest, testing::Values(1u, 3u));
 
 // ------------------------------------------------ seal/tick lock order
 

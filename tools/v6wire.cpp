@@ -12,6 +12,7 @@
 #include "tool_common.h"
 #include "v6class/net/replay.h"
 #include "v6class/net/wire.h"
+#include "v6class/simd/address_block.h"
 #include "v6class/stream/record.h"
 
 using namespace v6;
@@ -25,7 +26,7 @@ void handle_stop(int) { g_stop = 1; }
 /// Runs every datagram of `path` through a decoder; returns false on a
 /// file-level error (message already printed).
 bool scan_file(const std::string& path, net::wire_decoder* decoder,
-               const std::function<void(const std::vector<stream_record>&)>& sink,
+               const std::function<void(const simd::record_block&)>& sink,
                std::uint64_t* bytes) {
     net::wire_file_reader reader(path);
     if (!reader.valid()) {
@@ -33,12 +34,12 @@ bool scan_file(const std::string& path, net::wire_decoder* decoder,
         return false;
     }
     std::vector<std::uint8_t> datagram;
-    std::vector<stream_record> records;
+    simd::record_block block;
     while (reader.next(datagram)) {
         if (bytes) *bytes += datagram.size();
-        records.clear();
-        if (decoder->decode(datagram.data(), datagram.size(), records) && sink)
-            sink(records);
+        block.clear();
+        if (decoder->decode(datagram.data(), datagram.size(), block) && sink)
+            sink(block);
     }
     if (!reader.error().empty()) {
         std::fprintf(stderr, "error: %s: %s\n", path.c_str(),
@@ -111,9 +112,10 @@ int main(int argc, char** argv) {
         net::wire_decoder decoder;
         const bool ok = scan_file(
             path, &decoder,
-            [](const std::vector<stream_record>& records) {
-                for (const stream_record& r : records)
-                    write_stream_record(std::cout, r);
+            [](const simd::record_block& block) {
+                for (std::size_t i = 0; i < block.size(); ++i)
+                    write_stream_record(std::cout, {block.day[i], block.addrs.at(i),
+                                                    block.hits[i]});
             },
             nullptr);
         std::cout.flush();
