@@ -122,7 +122,7 @@ void BM_stream_with_push(benchmark::State& state) {
             pcfg.port = agg->port();
             pcfg.node = "bench";
             pusher = std::make_unique<obs::federate::telemetry_pusher>(pcfg);
-            cfg.federate =
+            cfg.on_seal =
                 [p = pusher.get()](const obs::federate::seal_snapshot& s) {
                     p->push_seal(s);
                 };

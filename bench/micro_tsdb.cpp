@@ -9,11 +9,13 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "bench_gbench.h"
 #include "v6class/netgen/rng.h"
+#include "v6class/obs/federate.h"
 #include "v6class/obs/tsdb.h"
 #include "v6class/stream/engine.h"
 
@@ -129,11 +131,17 @@ void BM_stream_with_tsdb(benchmark::State& state) {
     for (auto _ : state) {
         scratch_dir dir("seal");
         std::unique_ptr<obs::tsdb::database> db;
+        obs::event_log events;
+        std::optional<obs::tsdb::seal_sink> sink;
         stream_config cfg;
         cfg.shards = 4;
         if (durable) {
             db = obs::tsdb::database::open(dir.path);
-            cfg.tsdb = db.get();
+            sink.emplace(*db, events);
+            cfg.events = &events;
+            cfg.on_seal = [&sink](const obs::federate::seal_snapshot& snap) {
+                (*sink)(snap);
+            };
         }
         stream_engine engine(cfg);
         for (const stream_record& rec : feed) engine.push(rec);

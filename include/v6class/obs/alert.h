@@ -70,6 +70,7 @@
 #include <string>
 #include <vector>
 
+#include "v6class/net/telwire.h"
 #include "v6class/obs/event_log.h"
 #include "v6class/obs/metrics.h"
 
@@ -179,5 +180,11 @@ private:
     counter pending_total_, firing_total_, resolved_total_;
     gauge pending_gauge_, firing_gauge_;
 };
+
+/// A sampler over (series, label, value) rows captured before
+/// evaluate() — a seal snapshot's rows or a capture of the live
+/// series: yields the first matching row's value, nullopt when none
+/// matches. The row ts is ignored.
+alert_engine::sampler row_sampler(std::vector<net::tel_sample> rows);
 
 }  // namespace v6::obs

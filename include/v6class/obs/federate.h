@@ -23,10 +23,11 @@
 //     so the union is exact regardless of arrival order or duplicated
 //     pushes after a reconnect.
 //
-// The stream engine stays ignorant of sockets: stream_config::federate
-// is a plain seal_fn hook the roll thread invokes with a seal_snapshot
-// after each day seal (no engine lock held); v6stream's --push wiring
-// is just `cfg.federate = pusher-bound lambda`.
+// The stream engine stays ignorant of sockets, stores and rules: its
+// one seal hook, stream_config::on_seal, is a plain seal_fn the roll
+// thread invokes with a seal_snapshot after each day seal (no engine
+// lock held). v6stream composes that hook from the alert rules, the
+// flight recorder (tsdb::seal_sink) and push_seal, in that order.
 //
 // Thread contract: every public method of both classes is safe from
 // any thread (one internal mutex each; the aggregator's rx thread is
@@ -64,9 +65,10 @@ namespace federate {
 std::string node_label(const std::string& base_label,
                        const std::string& node);
 
-/// What one day seal hands the push hook: the seal-derived series
-/// points (ts = day) plus the merged day sketches, by value, so the
-/// hook can serialize off the roll thread's critical path.
+/// What one day seal hands the seal hook: one point per live derived
+/// series (ts = day, in the engine's live-series order) plus the merged
+/// day sketches and P² estimators, by value, so the hook can record,
+/// evaluate and serialize off the roll thread's critical path.
 struct seal_snapshot {
     std::int64_t day = -1;
     std::vector<net::tel_sample> series;
@@ -78,9 +80,9 @@ struct seal_snapshot {
     p2_quantile hits_p99{0.99};
 };
 
-/// The engine's per-seal push hook (stream_config::federate). Called by
-/// the roll thread after each seal's live update with no engine lock
-/// held; a slow hook delays the next report, never ingest.
+/// The engine's per-seal hook (stream_config::on_seal). Called by the
+/// roll thread after each seal's live update with no engine lock held;
+/// a slow hook delays the next report, never ingest.
 using seal_fn = std::function<void(const seal_snapshot&)>;
 
 /// Serializes a snapshot's sketches into V6TEL1 entries (empty when

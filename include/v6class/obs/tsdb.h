@@ -39,8 +39,10 @@
 // series: the stream engine's seal-time series use the day number; the
 // wall-clock gauge ticks use unix seconds. Within a series, appends
 // with a timestamp <= the series' newest stored timestamp are dropped
-// and counted (duplicate_points()) — the restart re-anchor contract
-// that keeps /api/series free of duplicate points across runs.
+// and counted (duplicate_points()); seal_sink reads that newest
+// timestamp before each append and skips the row instead — the restart
+// re-anchor contract that keeps /api/series free of duplicate points
+// across runs.
 //
 // Thread contract: every public method is safe from any thread (one
 // internal mutex). Writes are buffered in append()/append_event() and
@@ -61,6 +63,9 @@
 
 namespace v6::obs {
 class metrics_server;  // http.h; the history API mounts onto it
+namespace federate {
+struct seal_snapshot;  // federate.h; what seal_sink records
+}  // namespace federate
 }  // namespace v6::obs
 
 namespace v6::obs::tsdb {
@@ -131,6 +136,28 @@ class database;
 /// Shared by v6stream (its own flight recorder) and v6agg (the fleet
 /// store, where per-node series carry node=<id> labels).
 void register_history_api(metrics_server& server, const database* db);
+
+/// The flight recorder as a stream seal consumer (v6stream --state-dir
+/// calls it from stream_config::on_seal). Each call appends one point
+/// per snapshot row at ts = the sealed day — skipping a row when the
+/// day is at or before that series' stored last_ts, so a replay over an
+/// existing store appends each day once — then every event logged
+/// since the previous call, and commits once. The first call logs
+/// "tsdb resume" when the store already holds history for the rows.
+/// Calls must not overlap (the engine's roll thread is the one caller).
+class seal_sink {
+public:
+    /// Events logged to `events` from construction on are persisted.
+    seal_sink(database& db, event_log& events);
+
+    void operator()(const federate::seal_snapshot& snap);
+
+private:
+    database* db_;
+    event_log* events_;
+    std::uint64_t event_cursor_;
+    bool first_call_ = true;
+};
 
 class database {
 public:

@@ -37,12 +37,10 @@
 #include <thread>
 #include <vector>
 
-#include "v6class/obs/alert.h"
 #include "v6class/obs/drift.h"
 #include "v6class/obs/event_log.h"
 #include "v6class/obs/federate.h"
 #include "v6class/obs/metrics.h"
-#include "v6class/obs/tsdb.h"
 #include "v6class/obs/sketch.h"
 #include "v6class/obs/trace.h"
 #include "v6class/simd/address_block.h"
@@ -103,29 +101,15 @@ struct stream_config {
     obs::drift_options drift{};
     obs::event_log* events = nullptr;
 
-    /// Flight recorder (v6stream --state-dir). When non-null, every day
-    /// seal appends each live derived series' value (ts = the sealed
-    /// day number) plus any new log events, then commits. At
-    /// construction the engine re-anchors: each series' newest stored
-    /// day is read back and seals at or before it are not re-appended,
-    /// so replaying a corpus over an existing store is idempotent (the
-    /// restart-resume contract the check.sh smoke verifies).
-    obs::tsdb::database* tsdb = nullptr;
-
-    /// Alert engine (v6stream --alerts). When non-null, evaluated once
-    /// per day seal, sampling the live derived series by metric name
-    /// and label. The engine calls evaluate() on a snapshot of the live
-    /// values with no engine lock held, so other evaluate() callers
-    /// (the wall-clock tick) may sample the engine without deadlock.
-    obs::alert_engine* alerts = nullptr;
-
-    /// Telemetry push hook (v6stream --push). When set, the roll thread
-    /// invokes it after each seal's live update with a seal_snapshot —
-    /// the seal-derived series points plus copies of the merged day
-    /// sketches — holding no engine lock, so the hook may serialize and
-    /// send over the network freely. A slow hook delays the next
-    /// report, never ingest.
-    obs::federate::seal_fn federate{};
+    /// Seal hook: the roll thread calls it once per seal, after the
+    /// live series took the day's values and before the day report is
+    /// published, holding no engine lock. The seal_snapshot carries the
+    /// day, one (metric, label, value) row per live series in live()
+    /// order, and — with sketches on — the merged day HLLs and the P²
+    /// hit-count estimators. Every seal consumer (flight recorder,
+    /// alert rules, federation push) hangs off this one hook; v6stream
+    /// composes them. A slow hook delays the next report, never ingest.
+    obs::federate::seal_fn on_seal{};
 };
 
 /// Feed-side and sealed-side counters: a thin view over the engine's
@@ -185,7 +169,7 @@ struct live_series_view {
     std::string name;             ///< display name, e.g. "gamma16@48"
     std::string help;
     std::string metric;           ///< registry metric name (v6class_*)
-    std::string label;            ///< tsdb label ("" or the class label)
+    std::string label;            ///< seal row label ("" or the class label)
     double current = 0;
     bool alarmed = false;         ///< drift alarm fired on the last sample
     std::vector<double> history;  ///< ring-buffer contents, oldest first
@@ -287,10 +271,6 @@ public:
     /// gain one point per sealed day.
     live_view live(std::size_t events_n = 32) const;
 
-    /// The event log drift alarms are raised into (engine-private
-    /// unless cfg.events injected one).
-    obs::event_log& events() const noexcept { return *events_; }
-
     /// Day reports emitted so far, oldest first.
     std::vector<day_report> reports() const;
     std::optional<day_report> latest_report() const;
@@ -327,12 +307,21 @@ private:
     void init_metrics();
     void init_live();
 
-    /// Sealed-day sketch estimates, merged across shards.
-    struct day_estimates {
-        double addresses = 0, p48s = 0, p64s = 0;
+    /// A broadcast seal not yet applied, with the P² hit-count
+    /// estimators as they stood at its day boundary.
+    struct pending_seal {
+        int day = kNoDay;
+        obs::p2_quantile hits_p50{0.5}, hits_p99{0.99};
     };
-    day_estimates merge_day_sketches();  // roll thread, workers parked
-    void update_live(const day_report& report);  // roll thread
+
+    void merge_day_sketches();  // roll thread, workers parked
+    /// Roll thread: pushes this seal's value into every live series
+    /// (gauge, ring history, drift detector — raising drift events).
+    void update_live(const day_report& report, const pending_seal& seal);
+    /// Roll thread: the seal hook's snapshot — the just-fed live series
+    /// as rows, plus the day's merged sketches when they are on.
+    obs::federate::seal_snapshot make_seal_snapshot(
+        const pending_seal& seal) const;
 
     /// Pre-interned handles; instrumented code never touches the
     /// registry after construction. The sampled handles (gauges,
@@ -372,24 +361,15 @@ private:
     /// P² hit-count quantiles, fed in push() under push_mutex_. The
     /// roll thread must NOT take push_mutex_ to read them — the pusher
     /// can hold it across a blocking queue push, and the seal pipeline
-    /// waiting on a backpressured pusher deadlocks — so the pusher
-    /// publishes snapshots into the atomics at each day boundary
-    /// (broadcast_seal_locked) and update_live reads only those.
+    /// waiting on a backpressured pusher deadlocks — so
+    /// broadcast_seal_locked copies them into the day's pending_seal
+    /// and the roll thread reads only that copy.
     obs::p2_quantile hits_p50_{0.5}, hits_p99_{0.99};
-    std::atomic<double> hits_p50_pub_{0.0}, hits_p99_pub_{0.0};
     std::uint64_t quantile_tick_ = 0;  // push_mutex_; 1-in-N sampler
 
-    /// Federation state (meaningful only when cfg_.federate is set).
-    /// The merged day sketches are retained here by merge_day_sketches
-    /// instead of being discarded after estimate() — roll thread only.
-    /// The P² estimator snapshots cross a thread boundary (pusher →
-    /// roll), so they travel through their own small mutex, copied at
-    /// each day boundary in broadcast_seal_locked; the atomics above
-    /// only publish the scalar values, not the marker state a federated
-    /// aggregator receives.
-    obs::hyperloglog fed_day_addresses_{4}, fed_day_48s_{4}, fed_day_64s_{4};
-    mutable std::mutex p2_snap_mutex_;
-    obs::p2_quantile p2_snap_p50_{0.5}, p2_snap_p99_{0.99};
+    /// The sealed day's sketches merged across shards (roll thread
+    /// only): the day report's estimates and the seal hook's registers.
+    obs::hyperloglog day_addresses_{4}, day_48s_{4}, day_64s_{4};
 
     /// One live derived series: the registry gauge, the dashboard's
     /// ring history, and — for classification series only — its drift
@@ -401,16 +381,12 @@ private:
     struct live_series {
         std::string name;
         std::string help;
-        std::string metric;  ///< registry metric name (tsdb series name)
-        std::string label;   ///< tsdb label ("" or the class label value)
+        std::string metric;  ///< registry metric name (seal row name)
+        std::string label;   ///< seal row label ("" or the class label value)
         obs::dgauge gauge;
         obs::ring_history history;
         std::optional<obs::ewma_detector> detector;
         bool alarmed = false;
-        std::uint32_t tsdb_id = 0;
-        /// Newest day already in the store at construction; seals at or
-        /// before it are not re-appended (restart re-anchor).
-        std::int64_t anchor = std::numeric_limits<std::int64_t>::min();
         live_series(std::string n, std::string h, obs::dgauge g,
                     std::size_t capacity)
             : name(std::move(n)), help(std::move(h)), gauge(g),
@@ -428,8 +404,6 @@ private:
     // SIZE_MAX = not registered (no hardware PMU on this machine).
     std::size_t li_pmu_ipc_ = SIZE_MAX;
     obs::counter drift_events_;
-    std::uint64_t tsdb_event_cursor_ = 0;  // roll thread only
-    day_estimates last_estimates_;     // roll thread only
     // Pool-utilization baseline from the previous seal (roll thread).
     std::uint64_t last_busy_ns_ = 0;
     std::uint64_t last_util_wall_ns_ = 0;
@@ -455,7 +429,7 @@ private:
     // the roll thread.
     mutable std::mutex roll_mutex_;
     mutable std::condition_variable roll_cv_;
-    std::deque<int> seal_days_;     // broadcast, not yet applied
+    std::deque<pending_seal> seal_days_;  // broadcast, not yet applied
     std::vector<int> drained_day_;  // per shard: last seal marker reached
     int applied_day_ = kNoDay;      // last seal applied to all shards
     bool stopping_ = false;

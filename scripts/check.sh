@@ -364,6 +364,8 @@ EOF
             >"${smoke}/events.json"
         curl -fsS "http://127.0.0.1:${http_port}/alerts" >"${smoke}/alerts.json"
         curl -fsS "http://127.0.0.1:${http_port}/healthz" >"${smoke}/healthz.json"
+        curl -fsS "http://127.0.0.1:${http_port}/dashboard" >"${smoke}/dashboard.html"
+        curl -fsS "http://127.0.0.1:${http_port}/metrics" >"${smoke}/metrics.txt"
         kill -TERM "${stream_pid}"
         wait "${stream_pid}"
         grep -q 'reloaded .* alert rules' "${smoke}/err2.txt"
@@ -387,6 +389,21 @@ EOF
         grep -q '"name":"lifecycle_watch"' "${smoke}/alerts.json"
         grep -q '"state_dir":' "${smoke}/healthz.json"
         grep -q '"alerts":{"firing":' "${smoke}/healthz.json"
+        # The dashboard's "drift events" stat is the drift counter, not
+        # the whole event log (lifecycle, alert and reload events are
+        # not drift): this steady feed raises none.
+        python3 - "${smoke}/dashboard.html" "${smoke}/metrics.txt" <<'EOF'
+import re, sys
+page = open(sys.argv[1]).read()
+stat = re.search(r"drift events <b>(\d+)</b>", page)
+assert stat, "dashboard has no drift events stat"
+counter = re.search(r"^v6class_drift_events_total (\d+)$",
+                    open(sys.argv[2]).read(), re.M)
+assert counter, "/metrics has no v6class_drift_events_total"
+assert stat.group(1) == counter.group(1) == "0", \
+    f"drift events: dashboard {stat.group(1)}, metrics {counter.group(1)}"
+print("dashboard drift events ok: 0, matching /metrics")
+EOF
         rm -rf "${smoke}"
         echo "restart-resume smoke passed"
 

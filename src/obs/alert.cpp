@@ -428,4 +428,14 @@ std::uint64_t alert_engine::evaluations() const {
     return evaluations_;
 }
 
+alert_engine::sampler row_sampler(std::vector<net::tel_sample> rows) {
+    return [rows = std::move(rows)](
+               const std::string& series,
+               const std::string& label) -> std::optional<double> {
+        for (const net::tel_sample& row : rows)
+            if (row.name == series && row.label == label) return row.value;
+        return std::nullopt;
+    };
+}
+
 }  // namespace v6::obs

@@ -13,6 +13,7 @@
 #include <filesystem>
 #include <limits>
 
+#include "v6class/obs/federate.h"
 #include "v6class/obs/http.h"
 #include "v6class/obs/pmu.h"
 
@@ -829,6 +830,39 @@ database::~database() {
         ::close(active_fd_);
         active_fd_ = -1;
     }
+}
+
+seal_sink::seal_sink(database& db, event_log& events)
+    : db_(&db), events_(&events), event_cursor_(events.total()) {}
+
+void seal_sink::operator()(const federate::seal_snapshot& snap) {
+    if (first_call_) {
+        first_call_ = false;
+        std::optional<std::int64_t> resume_day;
+        for (const net::tel_sample& row : snap.series)
+            if (const auto last = db_->last_ts(row.name, row.label))
+                resume_day = std::max(resume_day.value_or(*last), *last);
+        if (resume_day)
+            events_->log(
+                event_level::info, "tsdb",
+                "tsdb resume: series history through day " +
+                    std::to_string(*resume_day),
+                {{"last_day",
+                  event_field_number(static_cast<double>(*resume_day))},
+                 {"recovered_points",
+                  event_field_number(
+                      static_cast<double>(db_->recovered_points()))}});
+    }
+    for (const net::tel_sample& row : snap.series) {
+        const auto last = db_->last_ts(row.name, row.label);
+        if (!last || snap.day > *last)
+            db_->append(row.name, row.label, snap.day, row.value);
+    }
+    for (const event& e : events_->since(event_cursor_)) {
+        db_->append_event(e);
+        event_cursor_ = e.seq;
+    }
+    db_->commit();
 }
 
 void register_history_api(metrics_server& server, const database* db) {

@@ -125,7 +125,7 @@ void stream_engine::init_live() {
     const auto add = [&](std::string name, const std::string& metric,
                          std::string help, obs::label_list labels = {},
                          bool detect = true) {
-        // The tsdb label is the first label's value ("" when unlabeled)
+        // The row label is the first label's value ("" when unlabeled)
         // — enough to tell the dense-class series apart.
         std::string label = labels.empty() ? std::string{} : labels[0].second;
         live_.emplace_back(std::move(name), help,
@@ -192,31 +192,6 @@ void stream_engine::init_live() {
                           "Instructions per cycle inside shard.ingest_batch "
                           "scopes between this seal and the previous one.",
                           {}, false);
-
-    // Flight-recorder re-anchor: intern every live series in the store
-    // and read back its newest stored day, so re-sealing already-stored
-    // days (a replay over an existing --state-dir) appends nothing.
-    if (cfg_.tsdb) {
-        tsdb_event_cursor_ = events_->total();  // only future events persist
-        std::int64_t resume_day = std::numeric_limits<std::int64_t>::min();
-        for (live_series& s : live_) {
-            s.tsdb_id = cfg_.tsdb->series_id(s.metric, s.label);
-            if (const auto last = cfg_.tsdb->last_ts(s.metric, s.label)) {
-                s.anchor = *last;
-                resume_day = std::max(resume_day, *last);
-            }
-        }
-        if (resume_day != std::numeric_limits<std::int64_t>::min())
-            events_->log(
-                obs::event_level::info, "tsdb",
-                "tsdb resume: series history through day " +
-                    std::to_string(resume_day),
-                {{"last_day",
-                  obs::event_field_number(static_cast<double>(resume_day))},
-                 {"recovered_points",
-                  obs::event_field_number(static_cast<double>(
-                      cfg_.tsdb->recovered_points()))}});
-    }
 }
 
 stream_engine::stream_engine(stream_config cfg)
@@ -350,21 +325,6 @@ void stream_engine::flush_shard_locked(unsigned shard) {
 }
 
 void stream_engine::broadcast_seal_locked(int day) {
-    if (cfg_.sketches) {
-        // Publish the quantile snapshots the roll thread will fold into
-        // this seal's live series (it cannot read the estimators
-        // directly; see the member comment).
-        hits_p50_pub_.store(hits_p50_.value(), std::memory_order_release);
-        hits_p99_pub_.store(hits_p99_.value(), std::memory_order_release);
-        if (cfg_.federate) {
-            // The aggregator receives full marker state, not just the
-            // scalar value; copy the estimators at the day boundary so
-            // the roll thread can snapshot them without push_mutex_.
-            std::lock_guard snap(p2_snap_mutex_);
-            p2_snap_p50_ = hits_p50_;
-            p2_snap_p99_ = hits_p99_;
-        }
-    }
     for (unsigned i = 0; i < cfg_.shards; ++i) {
         shard_message msg;
         msg.k = shard_message::kind::seal;
@@ -372,8 +332,11 @@ void stream_engine::broadcast_seal_locked(int day) {
         queues_[i]->push(std::move(msg));
     }
     {
+        // The P² estimators ride the seal entry: the roll thread folds
+        // this copy into the day's live series and seal snapshot (it
+        // cannot read the estimators directly; see the member comment).
         std::lock_guard roll(roll_mutex_);
-        seal_days_.push_back(day);
+        seal_days_.push_back({day, hits_p50_, hits_p99_});
     }
     roll_cv_.notify_all();
 }
@@ -464,7 +427,7 @@ void stream_engine::roll_loop() {
     obs::tracer::set_thread_name("stream-roll");
     obs::profiler::register_thread("stream-roll");
     for (;;) {
-        int day = kNoDay;
+        pending_seal seal;
         {
             std::unique_lock lock(roll_mutex_);
             roll_cv_.wait(lock, [&] { return stopping_ || !seal_days_.empty(); });
@@ -475,13 +438,14 @@ void stream_engine::roll_loop() {
                 report_cv_.notify_all();
                 return;
             }
-            day = seal_days_.front();
+            seal = std::move(seal_days_.front());
             roll_cv_.wait(lock, [&] {
                 return std::all_of(drained_day_.begin(), drained_day_.end(),
-                                   [&](int d) { return d >= day; });
+                                   [&](int d) { return d >= seal.day; });
             });
             seal_days_.pop_front();
         }
+        const int day = seal.day;
         {
             // The only writer of sealed state; readers (queries, the
             // report build below) hold the lock shared. The histogram
@@ -502,7 +466,7 @@ void stream_engine::roll_loop() {
                 active.insert(active.end(), day_set.begin(), day_set.end());
             }
             projected_store_.record_day(day, active);
-            if (cfg_.sketches) last_estimates_ = merge_day_sketches();
+            if (cfg_.sketches) merge_day_sketches();
             sealed_day_ = day;
             std::size_t distinct = 0;
             for (const auto& s : shards_) distinct += s->distinct_addresses();
@@ -568,7 +532,8 @@ void stream_engine::roll_loop() {
             m_.arena_free.set(static_cast<std::int64_t>(report.arena_free));
             obs::update_process_gauges(*metrics_);
         }
-        update_live(report);
+        update_live(report, seal);
+        if (cfg_.on_seal) cfg_.on_seal(make_seal_snapshot(seal));
         {
             std::lock_guard lock(reports_mutex_);
             reports_.push_back(std::move(report));
@@ -618,56 +583,34 @@ day_report stream_engine::build_report(int day) const {
         report.active ? static_cast<double>(report.stable) /
                             static_cast<double>(report.active)
                       : 0.0;
-    report.est_day_addresses = last_estimates_.addresses;
-    report.est_day_48s = last_estimates_.p48s;
-    report.est_day_64s = last_estimates_.p64s;
+    if (cfg_.sketches) {
+        report.est_day_addresses = day_addresses_.estimate();
+        report.est_day_48s = day_48s_.estimate();
+        report.est_day_64s = day_64s_.estimate();
+    }
     return report;
 }
 
-stream_engine::day_estimates stream_engine::merge_day_sketches() {
+void stream_engine::merge_day_sketches() {
     // Roll thread, exclusive section: every worker is parked at this
     // day's seal marker, so their sketch sets are quiescent (the
     // roll_mutex_ handshake ordered their writes before ours) and the
     // reset below is published to them the same way.
-    obs::hyperloglog addresses(cfg_.hll_precision);
-    obs::hyperloglog p48s(cfg_.hll_precision);
-    obs::hyperloglog p64s(cfg_.hll_precision);
+    day_addresses_ = obs::hyperloglog(cfg_.hll_precision);
+    day_48s_ = obs::hyperloglog(cfg_.hll_precision);
+    day_64s_ = obs::hyperloglog(cfg_.hll_precision);
     for (day_sketches& sk : shard_sketches_) {
-        addresses.merge(sk.addresses);
-        p48s.merge(sk.p48s);
-        p64s.merge(sk.p64s);
+        day_addresses_.merge(sk.addresses);
+        day_48s_.merge(sk.p48s);
+        day_64s_.merge(sk.p64s);
         sk.addresses.reset();
         sk.p48s.reset();
         sk.p64s.reset();
     }
-    const day_estimates est{addresses.estimate(), p48s.estimate(),
-                            p64s.estimate()};
-    if (cfg_.federate) {
-        // Keep the merged registers: the push hook ships them so the
-        // aggregator's cross-node union is exact, not re-estimated.
-        fed_day_addresses_ = std::move(addresses);
-        fed_day_48s_ = std::move(p48s);
-        fed_day_64s_ = std::move(p64s);
-    }
-    return est;
 }
 
-void stream_engine::update_live(const day_report& report) {
-    // Snapshot of the live series taken under live_mutex_, consumed by
-    // the alert evaluation and the tsdb flush below *after* the lock is
-    // released: evaluate() takes the alert engine's mutex, and the
-    // wall-clock tick path (tools/v6stream) takes that mutex before
-    // sampling the engine — holding live_mutex_ across evaluate() would
-    // invert the order and deadlock a concurrent seal and tick.
-    struct sample_row {
-        std::string metric;
-        std::string label;
-        double value;
-        std::uint32_t tsdb_id;
-        std::int64_t anchor;
-    };
-    std::vector<sample_row> sampled;
-    {
+void stream_engine::update_live(const day_report& report,
+                                const pending_seal& seal) {
     std::lock_guard lock(live_mutex_);
     const auto feed = [&](std::size_t idx, double v) {
         live_series& s = live_[idx];
@@ -695,8 +638,8 @@ void stream_engine::update_live(const day_report& report) {
     feed(li_gamma16_, report.gamma16);
     feed(li_stable_fraction_, report.stable_fraction);
     feed(li_active_, static_cast<double>(report.active));
-    feed(li_hits_p50_, hits_p50_pub_.load(std::memory_order_acquire));
-    feed(li_hits_p99_, hits_p99_pub_.load(std::memory_order_acquire));
+    feed(li_hits_p50_, seal.hits_p50.value());
+    feed(li_hits_p99_, seal.hits_p99.value());
     for (std::size_t i = 0; i < report.density.size(); ++i)
         feed(li_dense_first_ + i,
              static_cast<double>(report.density[i].dense_prefix_count));
@@ -708,67 +651,29 @@ void stream_engine::update_live(const day_report& report) {
     feed(li_pool_util_, report.pool_utilization);
     feed(li_arena_nodes_, static_cast<double>(report.arena_nodes));
     if (li_pmu_ipc_ != SIZE_MAX) feed(li_pmu_ipc_, report.ingest_ipc);
+}
 
-    if (cfg_.alerts || cfg_.tsdb || cfg_.federate) {
-        sampled.reserve(live_.size());
+obs::federate::seal_snapshot stream_engine::make_seal_snapshot(
+    const pending_seal& seal) const {
+    obs::federate::seal_snapshot snap;
+    snap.day = seal.day;
+    {
+        std::lock_guard lock(live_mutex_);
+        snap.series.reserve(live_.size());
         for (const live_series& s : live_)
             if (s.history.size() > 0)
-                sampled.push_back({s.metric, s.label, s.history.back(),
-                                   s.tsdb_id, s.anchor});
+                snap.series.push_back(
+                    {s.metric, s.label, seal.day, s.history.back()});
     }
-    }  // live_mutex_ released: alert + tsdb work runs on the snapshot
-
-    // Alert rules see this seal's values via the snapshot — evaluate()
-    // has its own lock, acquired here without live_mutex_ held.
-    if (cfg_.alerts) {
-        const auto sample = [&sampled](const std::string& series,
-                                       const std::string& label)
-            -> std::optional<double> {
-            for (const sample_row& s : sampled)
-                if (s.metric == series && s.label == label) return s.value;
-            return std::nullopt;
-        };
-        cfg_.alerts->evaluate(sample, report.day);
+    if (cfg_.sketches) {
+        snap.has_sketches = true;
+        snap.addresses = day_addresses_;
+        snap.p48s = day_48s_;
+        snap.p64s = day_64s_;
+        snap.hits_p50 = seal.hits_p50;
+        snap.hits_p99 = seal.hits_p99;
     }
-
-    // Flight-recorder flush: one point per live series at ts =
-    // report.day (skipped below each series' restart anchor), every
-    // event logged since the last seal (drift alarms and alert
-    // transitions included — both were raised above), one commit.
-    // tsdb_event_cursor_ is roll-thread-only state; the store has its
-    // own mutex.
-    if (cfg_.tsdb) {
-        for (const sample_row& s : sampled) {
-            if (report.day <= s.anchor) continue;
-            cfg_.tsdb->append(s.tsdb_id, report.day, s.value);
-        }
-        for (const obs::event& e : events_->since(tsdb_event_cursor_)) {
-            cfg_.tsdb->append_event(e);
-            tsdb_event_cursor_ = e.seq;
-        }
-        cfg_.tsdb->commit();
-    }
-
-    // Federation push: the same sampled rows the tsdb records (ts = the
-    // sealed day), plus copies of the merged day sketches, handed to
-    // the hook with no engine lock held.
-    if (cfg_.federate) {
-        obs::federate::seal_snapshot snap;
-        snap.day = report.day;
-        snap.series.reserve(sampled.size());
-        for (const sample_row& s : sampled)
-            snap.series.push_back({s.metric, s.label, report.day, s.value});
-        if (cfg_.sketches) {
-            snap.has_sketches = true;
-            snap.addresses = fed_day_addresses_;
-            snap.p48s = fed_day_48s_;
-            snap.p64s = fed_day_64s_;
-            std::lock_guard p2(p2_snap_mutex_);
-            snap.hits_p50 = p2_snap_p50_;
-            snap.hits_p99 = p2_snap_p99_;
-        }
-        cfg_.federate(snap);
-    }
+    return snap;
 }
 
 live_view stream_engine::live(std::size_t events_n) const {

@@ -707,7 +707,7 @@ TEST(FederateEngineTest, SealHookReceivesSeriesAndSketchesPerDay) {
     cfg.shards = 2;
     cfg.batch_size = 8;
     cfg.queue_capacity = 4;
-    cfg.federate = [&](const obs::federate::seal_snapshot& s) {
+    cfg.on_seal = [&](const obs::federate::seal_snapshot& s) {
         std::lock_guard lock(mu);
         seen.push_back(s);
     };
@@ -719,19 +719,54 @@ TEST(FederateEngineTest, SealHookReceivesSeriesAndSketchesPerDay) {
     engine.finish();
 
     std::lock_guard lock(mu);
-    ASSERT_EQ(seen.size(), 2u);
+    ASSERT_EQ(seen.size(), 2u);  // one hook call per sealed day
     EXPECT_EQ(seen[0].day, 3);
     EXPECT_EQ(seen[1].day, 4);
+    // One row per live series, in live() order, stamped with the day.
+    const live_view view = engine.live(0);
     for (const obs::federate::seal_snapshot& s : seen) {
-        EXPECT_FALSE(s.series.empty());
+        ASSERT_EQ(s.series.size(), view.series.size());
+        for (std::size_t i = 0; i < s.series.size(); ++i) {
+            EXPECT_EQ(s.series[i].name, view.series[i].metric) << i;
+            EXPECT_EQ(s.series[i].label, view.series[i].label) << i;
+            EXPECT_EQ(s.series[i].ts, s.day) << i;
+        }
         ASSERT_TRUE(s.has_sketches);
     }
+    // The last seal's rows are the live series' current values.
+    for (std::size_t i = 0; i < view.series.size(); ++i)
+        EXPECT_EQ(seen[1].series[i].value, view.series[i].current) << i;
     // The pushed sketch is the engine's own merged day sketch: its
     // estimate must agree exactly with the day report's estimate.
     const std::vector<day_report> reports = engine.reports();
     ASSERT_EQ(reports.size(), 2u);
     EXPECT_EQ(seen[0].addresses.estimate(), reports[0].est_day_addresses);
     EXPECT_EQ(seen[1].addresses.estimate(), reports[1].est_day_addresses);
+}
+
+TEST(FederateEngineTest, SealHookWithoutSketchesCarriesNoSketches) {
+    std::vector<obs::federate::seal_snapshot> seen;  // roll thread only
+    stream_config cfg;
+    cfg.shards = 2;
+    cfg.sketches = false;
+    cfg.on_seal = [&](const obs::federate::seal_snapshot& s) {
+        seen.push_back(s);
+    };
+    stream_engine engine(cfg);
+    for (unsigned i = 0; i < 40; ++i)
+        engine.push(5, address::from_pair(0x20010db800000000ull + i, i), 3);
+    engine.finish();
+
+    ASSERT_EQ(seen.size(), 1u);
+    EXPECT_FALSE(seen[0].has_sketches);
+    bool saw_p50 = false;
+    for (const net::tel_sample& row : seen[0].series) {
+        if (row.name != "v6class_hits_p50") continue;
+        saw_p50 = true;
+        EXPECT_EQ(row.value, 0.0);  // no quantiles without sketches
+    }
+    EXPECT_TRUE(saw_p50);
+    EXPECT_TRUE(obs::federate::serialize_seal_sketches(seen[0]).empty());
 }
 
 TEST(FederateEngineTest, EngineToAggregatorEndToEndUnionIsExact) {
@@ -751,7 +786,7 @@ TEST(FederateEngineTest, EngineToAggregatorEndToEndUnionIsExact) {
         cfg.shards = 2;
         cfg.batch_size = 8;
         cfg.queue_capacity = 4;
-        cfg.federate = [&](const obs::federate::seal_snapshot& s) {
+        cfg.on_seal = [&](const obs::federate::seal_snapshot& s) {
             push.push_seal(s);
             std::lock_guard lock(mu);
             teed.push_back(s);

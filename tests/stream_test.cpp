@@ -4,15 +4,20 @@
 // flight).
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <algorithm>
 #include <atomic>
+#include <filesystem>
 #include <sstream>
 #include <thread>
 
 #include "v6class/netgen/rng.h"
 #include "v6class/obs/alert.h"
+#include "v6class/obs/federate.h"
 #include "v6class/obs/metrics.h"
 #include "v6class/obs/sketch.h"
+#include "v6class/obs/tsdb.h"
 #include "v6class/simd/address_block.h"
 #include "v6class/stream/bounded_queue.h"
 #include "v6class/stream/engine.h"
@@ -769,13 +774,13 @@ INSTANTIATE_TEST_SUITE_P(Shards, StreamPushPathTest, testing::Values(1u, 3u));
 
 // ------------------------------------------------ seal/tick lock order
 
-// The daemon shape from tools/v6stream: the roll thread evaluates the
-// alert rules at every seal, while a wall-clock tick thread evaluates
-// them too, sampling from a live_view snapshot captured *before*
-// evaluate(). Under TSan this pins the required lock order — a sampler
-// that called engine.live() from inside evaluate() (under the alert
-// mutex) would invert against the seal path and deadlock a concurrent
-// seal and tick.
+// The daemon shape from tools/v6stream: the seal hook evaluates the
+// alert rules at every seal on the roll thread, while a wall-clock tick
+// thread evaluates them too, sampling rows of a live_view captured
+// *before* evaluate(). Under TSan this pins the required lock order — a
+// sampler that called engine.live() from inside evaluate() (under the
+// alert mutex) would invert against the seal path and deadlock a
+// concurrent seal and tick.
 TEST(StreamAlertTest, ConcurrentSealAndTickEvaluationsDoNotDeadlock) {
     obs::registry reg;
     obs::event_log log;
@@ -788,24 +793,21 @@ TEST(StreamAlertTest, ConcurrentSealAndTickEvaluationsDoNotDeadlock) {
     stream_config cfg = live_config(2);
     cfg.metrics_registry = &reg;
     cfg.events = &log;
-    cfg.alerts = &alerts;
+    cfg.on_seal = [&alerts](const obs::federate::seal_snapshot& snap) {
+        alerts.evaluate(obs::row_sampler(snap.series), snap.day);
+    };
     stream_engine engine(cfg);
 
     std::atomic<bool> stop{false};
     std::thread ticker([&] {
         std::int64_t ts = 1'000'000;
         while (!stop.load(std::memory_order_relaxed)) {
-            const live_view lv = engine.live(0);  // snapshot first...
-            alerts.evaluate(                      // ...alert mutex second
-                [&lv](const std::string& series, const std::string& label)
-                    -> std::optional<double> {
-                    for (const live_series_view& v : lv.series)
-                        if (v.metric == series && v.label == label &&
-                            !v.history.empty())
-                            return v.current;
-                    return std::nullopt;
-                },
-                ts++);
+            std::vector<net::tel_sample> rows;  // snapshot first...
+            for (const live_series_view& v : engine.live(0).series)
+                if (!v.history.empty())
+                    rows.push_back({v.metric, v.label, 0, v.current});
+            alerts.evaluate(obs::row_sampler(std::move(rows)),  // ...alert
+                            ts++);                              // mutex second
         }
     });
     constexpr int kDays = 20;
@@ -818,6 +820,91 @@ TEST(StreamAlertTest, ConcurrentSealAndTickEvaluationsDoNotDeadlock) {
     // 200 active addresses < 1e6: firing since the first seal, and no
     // tick evaluation may have flapped it (a missing sample freezes).
     EXPECT_EQ(alerts.firing_count(), 1u);
+}
+
+// ------------------------------------------------- restart contract
+
+// The flight recorder's restart contract at library level, wired the
+// way v6stream wires it: run A records days 1-4 through the seal hook,
+// the store is reopened, and run B replays days 1-6 over it. Every live
+// series must hold each day once, the re-anchor must skip (not drop as
+// duplicates) the re-sealed days, run B must log one "tsdb resume",
+// and an alert that fires at a seal must reach the store with it.
+TEST(StreamRestartTest, ReplayOverAStoreRecordsEachDayOnce) {
+    const std::string dir =
+        (std::filesystem::temp_directory_path() /
+         ("v6restart_" + std::to_string(::getpid())))
+            .string();
+    std::filesystem::remove_all(dir);
+
+    const auto run = [&](int last_day, obs::event_log& log) {
+        std::string error;
+        auto db = obs::tsdb::database::open(dir, {}, &error);
+        EXPECT_NE(db, nullptr) << error;
+        if (!db) return std::unique_ptr<obs::tsdb::database>();
+        obs::registry reg;
+        obs::alert_engine alerts(&reg, &log);
+        auto rules = obs::parse_alert_rules(
+            "few_active series=v6class_active_addresses below=1000000\n");
+        EXPECT_TRUE(rules.has_value());
+        if (rules) alerts.load_rules(std::move(*rules));
+        obs::tsdb::seal_sink sink(*db, log);
+        stream_config cfg = live_config(2);
+        cfg.metrics_registry = &reg;
+        cfg.events = &log;
+        cfg.on_seal = [&](const obs::federate::seal_snapshot& snap) {
+            alerts.evaluate(obs::row_sampler(snap.series), snap.day);
+            sink(snap);
+        };
+        {
+            stream_engine engine(cfg);
+            for (int day = 1; day <= last_day; ++day)
+                for (unsigned i = 0; i < 60; ++i) engine.push(day, nth(i));
+        }
+        return db;
+    };
+    const auto resumes = [](const obs::event_log& log) {
+        std::size_t n = 0;
+        for (const obs::event& e : log.since(0))
+            if (e.kind == "tsdb" && e.message.rfind("tsdb resume", 0) == 0) ++n;
+        return n;
+    };
+
+    obs::event_log log_a;
+    std::vector<std::string> live_rows;
+    {
+        auto db = run(4, log_a);
+        ASSERT_NE(db, nullptr);
+        EXPECT_EQ(resumes(log_a), 0u);  // empty store: nothing to resume
+        for (const obs::tsdb::series_info& s : db->list_series())
+            live_rows.push_back(s.name + "{" + s.label + "}");
+    }
+    ASSERT_FALSE(live_rows.empty());
+
+    obs::event_log log_b;
+    auto db = run(6, log_b);
+    ASSERT_NE(db, nullptr);
+    EXPECT_EQ(db->duplicate_points(), 0u);
+    EXPECT_EQ(resumes(log_b), 1u);
+    constexpr std::int64_t kAll = std::numeric_limits<std::int64_t>::max();
+    const std::vector<obs::tsdb::series_info> series = db->list_series();
+    EXPECT_EQ(series.size(), live_rows.size());
+    for (const obs::tsdb::series_info& s : series) {
+        std::vector<std::int64_t> days;
+        for (const obs::tsdb::point& p : db->query(s.name, s.label, -kAll, kAll))
+            days.push_back(p.ts);
+        EXPECT_EQ(days, (std::vector<std::int64_t>{1, 2, 3, 4, 5, 6}))
+            << s.name << "{" << s.label << "}";
+    }
+    // The alert fired at run A's first seal; its transition event was
+    // committed with that seal's points.
+    bool fired = false;
+    for (const obs::tsdb::stored_event& e :
+         db->query_events(obs::event_level::info, 0, 1e18))
+        fired |= e.message == "alert few_active firing";
+    EXPECT_TRUE(fired);
+    db.reset();
+    std::filesystem::remove_all(dir);
 }
 
 }  // namespace

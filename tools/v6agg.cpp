@@ -26,54 +26,17 @@
 // Like v6stream, SIGINT/SIGTERM runs an ordered shutdown: the server
 // drains, the newest day's global estimates flush, the tsdb commits.
 #include <chrono>
-#include <csignal>
 #include <ctime>
-#include <filesystem>
 #include <memory>
 #include <thread>
 
+#include "daemon_host.h"
 #include "tool_common.h"
-#include "v6class/obs/alert.h"
-#include "v6class/obs/dashboard.h"
 #include "v6class/obs/federate.h"
-#include "v6class/obs/http.h"
-#include "v6class/obs/tsdb.h"
 
 using namespace v6;
 
 namespace {
-
-volatile std::sig_atomic_t g_stop = 0;
-volatile std::sig_atomic_t g_reload = 0;
-
-void handle_stop(int) { g_stop = 1; }
-void handle_reload(int) { g_reload = 1; }
-
-/// One-line rule summary for the dashboard alert panel (mirrors
-/// v6stream's).
-std::string alert_detail(const obs::alert_rule& r) {
-    std::string out;
-    switch (r.cond) {
-        case obs::alert_cond::above:
-            out = r.series + " above " + obs::event_field_number(r.threshold);
-            break;
-        case obs::alert_cond::below:
-            out = r.series + " below " + obs::event_field_number(r.threshold);
-            break;
-        case obs::alert_cond::delta:
-            out = r.series + " delta " + obs::event_field_number(r.threshold);
-            break;
-        case obs::alert_cond::absent:
-            out = r.series + " absent " + obs::event_field_number(r.threshold);
-            break;
-        case obs::alert_cond::event:
-            out = "event " + r.event_kind;
-            break;
-    }
-    if (!r.label.empty()) out += " {" + r.label + "}";
-    if (r.hold) out += " for " + std::to_string(r.hold);
-    return out;
-}
 
 /// The alert sampler over the aggregator: one snapshot of the node
 /// registry per evaluation (captured here, never under the alert
@@ -117,8 +80,7 @@ fleet_sampler(const obs::federate::telemetry_aggregator& agg) {
 /// The /dashboard model: fleet panel + global-estimate history charts.
 obs::dashboard_model build_dashboard(
     const obs::federate::telemetry_aggregator& agg,
-    const obs::metrics_server& server, const obs::tsdb::database* tsdb,
-    const obs::alert_engine* alerts) {
+    const obs::metrics_server& server, const tools::daemon_host& host) {
     obs::dashboard_model model;
     model.title = "v6agg fleet telemetry";
     model.status = server.state();
@@ -166,13 +128,12 @@ obs::dashboard_model build_dashboard(
     model.links = {{"/metrics", "metrics"},
                    {"/api/nodes", "nodes"},
                    {"/healthz", "healthz"}};
-    if (tsdb) model.links.push_back({"/api/series", "series"});
-    if (alerts) model.links.push_back({"/alerts", "alerts"});
+    host.decorate_dashboard(model);
 
     // Global vs per-node history: the flushed fleet estimate series
     // plus each node's own pushed estimate, so divergence (a vantage
     // point seeing addresses no one else does) is visible at a glance.
-    if (tsdb) {
+    if (const obs::tsdb::database* tsdb = host.tsdb()) {
         constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
         constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
         const auto add_chart = [&](const std::string& name,
@@ -198,45 +159,7 @@ obs::dashboard_model build_dashboard(
                       "node=" + n.name,
                       "node " + n.name + " distinct /128s per day");
     }
-
-    if (alerts) {
-        model.show_alerts = true;
-        for (const obs::alert_engine::status& s : alerts->snapshot()) {
-            obs::dashboard_alert row;
-            row.name = s.rule.name;
-            row.state = obs::alert_state_name(s.state);
-            row.detail = alert_detail(s.rule);
-            if (s.value) {
-                row.value = *s.value;
-                row.has_value = true;
-            }
-            model.alerts.push_back(std::move(row));
-        }
-    }
     return model;
-}
-
-/// Applies a pending SIGHUP: hot-reloads the alert rules file,
-/// preserving state for definition-identical rules (v6stream's
-/// contract).
-void maybe_reload(obs::alert_engine* alerts, const std::string& alerts_path) {
-    if (!g_reload) return;
-    g_reload = 0;
-    if (!alerts || alerts_path.empty()) return;
-    std::string error;
-    if (alerts->load_file(alerts_path, &error)) {
-        std::fprintf(stderr, "reloaded %s: %zu alert rules\n",
-                     alerts_path.c_str(), alerts->rule_count());
-        obs::event_log::global().log(
-            obs::event_level::info, "lifecycle", "alert rules reloaded",
-            {{"rules", obs::event_field_number(
-                           static_cast<double>(alerts->rule_count()))}});
-    } else {
-        std::fprintf(stderr,
-                     "warning: reload of alert rules failed (%s); keeping "
-                     "previous rules\n",
-                     error.c_str());
-    }
 }
 
 }  // namespace
@@ -292,30 +215,17 @@ int main(int argc, char** argv) {
     }
     tools::obs_exporter obs_dump(flags);
 
-    std::signal(SIGINT, handle_stop);
-    std::signal(SIGTERM, handle_stop);
-    std::signal(SIGHUP, handle_reload);
-
+    tools::daemon_host host;
     obs::registry& reg = obs::registry::global();
 
     // Flight recorder first (the aggregator writes into it).
-    std::unique_ptr<obs::tsdb::database> tsdb;
     if (!state_dir.empty()) {
         obs::tsdb::options topt;
         topt.metrics = &reg;
         topt.retain_bytes = retain_bytes;
-        std::string error;
-        tsdb = obs::tsdb::database::open(
-            (std::filesystem::path(state_dir) / "tsdb").string(), topt, &error);
-        if (!tsdb) {
-            std::fprintf(stderr, "error: cannot open state dir %s: %s\n",
-                         state_dir.c_str(), error.c_str());
-            return 1;
-        }
-        std::fprintf(stderr, "flight recorder %s: %llu points recovered\n",
-                     tsdb->dir().c_str(),
-                     static_cast<unsigned long long>(tsdb->recovered_points()));
+        if (!host.open_state_dir(state_dir, topt)) return 1;
     }
+    obs::tsdb::database* const tsdb = host.tsdb();
 
     obs::federate::telemetry_aggregator::config acfg;
     acfg.port = static_cast<std::uint16_t>(std::atol(port_text.c_str()));
@@ -323,7 +233,7 @@ int main(int argc, char** argv) {
         static_cast<long>(staleness_seconds * 1000));
     acfg.metrics = &reg;
     acfg.events = &obs::event_log::global();
-    acfg.tsdb = tsdb.get();
+    acfg.tsdb = tsdb;
     acfg.keep_days = static_cast<int>(keep_days);
     obs::federate::telemetry_aggregator agg(acfg);
     std::string error;
@@ -335,25 +245,14 @@ int main(int argc, char** argv) {
                  static_cast<unsigned>(agg.port()));
     std::fflush(stderr);
 
-    // Alert rules (optional): startup parse errors are fatal, failed
-    // SIGHUP reloads keep the previous rules (v6stream's contract).
-    std::optional<obs::alert_engine> alerts;
-    if (!alerts_path.empty()) {
-        alerts.emplace(&reg, &obs::event_log::global());
-        if (!alerts->load_file(alerts_path, &error)) {
-            std::fprintf(stderr, "error: cannot load %s: %s\n",
-                         alerts_path.c_str(), error.c_str());
-            return 1;
-        }
-        if (!alerts_notify.empty()) alerts->set_notify_command(alerts_notify);
-        std::fprintf(stderr, "loaded %s: %zu alert rules (SIGHUP reloads)\n",
-                     alerts_path.c_str(), alerts->rule_count());
-    }
-    obs::alert_engine* alert_ptr = alerts ? &*alerts : nullptr;
+    if (!alerts_path.empty() &&
+        !host.load_alerts(alerts_path, alerts_notify, reg))
+        return 1;
+    obs::alert_engine* const alert_ptr = host.alerts();
 
     obs::metrics_server server;
     if (metrics_given) {
-        server.set_health_payload([&agg, alert_ptr] {
+        server.set_health_payload([&agg, &host] {
             const std::vector<obs::federate::node_status> nodes = agg.nodes();
             std::size_t fresh = 0;
             for (const obs::federate::node_status& n : nodes)
@@ -362,31 +261,13 @@ int main(int argc, char** argv) {
                               ",\"fresh\":" + std::to_string(fresh) +
                               ",\"newest_day\":" +
                               std::to_string(agg.newest_day());
-            if (alert_ptr)
-                out += ",\"alerts\":{\"firing\":" +
-                       std::to_string(alert_ptr->firing_count()) +
-                       ",\"pending\":" +
-                       std::to_string(alert_ptr->pending_count()) + "}";
-            return out;
+            return out + host.health_alerts();
         });
-        server.set_dashboard([&agg, &server, &tsdb, alert_ptr] {
-            return obs::render_dashboard(
-                build_dashboard(agg, server, tsdb.get(), alert_ptr));
+        server.set_dashboard([&agg, &server, &host] {
+            return obs::render_dashboard(build_dashboard(agg, server, host));
         });
         agg.register_http(server);
-        if (tsdb) obs::tsdb::register_history_api(server, tsdb.get());
-        if (alert_ptr)
-            server.add_handler("/alerts", [alert_ptr](const obs::query_params&) {
-                obs::http_reply reply;
-                reply.body = "{\"firing\":" +
-                             std::to_string(alert_ptr->firing_count()) +
-                             ",\"pending\":" +
-                             std::to_string(alert_ptr->pending_count()) +
-                             ",\"evaluations\":" +
-                             std::to_string(alert_ptr->evaluations()) +
-                             ",\"rules\":" + alert_ptr->status_json() + "}";
-                return reply;
-            });
+        host.mount(server);
         const auto port =
             static_cast<std::uint16_t>(std::atol(metrics_text.c_str()));
         if (!server.start(port, &reg, &error)) {
@@ -406,9 +287,9 @@ int main(int argc, char** argv) {
 
     // Main loop: service reloads, evaluate alerts, commit the recorder.
     auto last_tick = std::chrono::steady_clock::now();
-    while (!g_stop) {
+    while (!tools::g_stop) {
         std::this_thread::sleep_for(std::chrono::milliseconds(50));
-        maybe_reload(alert_ptr, alerts_path);
+        if (host.reload_requested()) host.reload_alerts();
         const auto now = std::chrono::steady_clock::now();
         if (tick_seconds > 0 &&
             now - last_tick >= std::chrono::duration<double>(tick_seconds)) {

@@ -43,35 +43,26 @@
 // the same connection, all labeled --node=NAME. Pushes are best-effort
 // (a down aggregator costs a counted failure, never ingest).
 #include <chrono>
-#include <csignal>
 #include <ctime>
 #include <filesystem>
 #include <memory>
 #include <thread>
 
+#include "daemon_host.h"
 #include "tool_common.h"
 #include "v6class/cdnsim/corpus.h"
 #include "v6class/net/collector.h"
 #include "v6class/net/enrich.h"
 #include "v6class/net/replay.h"
-#include "v6class/obs/alert.h"
-#include "v6class/obs/dashboard.h"
 #include "v6class/obs/federate.h"
-#include "v6class/obs/http.h"
 #include "v6class/obs/introspect.h"
-#include "v6class/obs/tsdb.h"
 #include "v6class/simd/kernels.h"
 #include "v6class/stream/engine.h"
 
 using namespace v6;
+using tools::g_stop;
 
 namespace {
-
-volatile std::sig_atomic_t g_stop = 0;
-volatile std::sig_atomic_t g_reload = 0;
-
-void handle_stop(int) { g_stop = 1; }
-void handle_reload(int) { g_reload = 1; }
 
 void print_density(const std::vector<density_row>& rows) {
     std::printf("\"dense\":[");
@@ -118,46 +109,17 @@ void print_day_asn(int day, const std::vector<net::asn_row>& rows) {
     std::printf("]}\n");
 }
 
-/// One-line rule summary for the dashboard alert panel.
-std::string alert_detail(const obs::alert_rule& r) {
-    std::string out;
-    switch (r.cond) {
-        case obs::alert_cond::above:
-            out = r.series + " above " + obs::event_field_number(r.threshold);
-            break;
-        case obs::alert_cond::below:
-            out = r.series + " below " + obs::event_field_number(r.threshold);
-            break;
-        case obs::alert_cond::delta:
-            out = r.series + " delta " + obs::event_field_number(r.threshold);
-            break;
-        case obs::alert_cond::absent:
-            out = r.series + " absent " + obs::event_field_number(r.threshold);
-            break;
-        case obs::alert_cond::event:
-            out = "event " + r.event_kind;
-            break;
-    }
-    if (!r.label.empty()) out += " {" + r.label + "}";
-    if (r.hold) out += " for " + std::to_string(r.hold);
-    return out;
-}
-
-/// The wall-clock tick's alert sampler: live derived series by registry
-/// metric name + label. The engine view is snapshotted *once, here* —
-/// never from inside evaluate(), which holds the alert mutex: the roll
-/// thread's seal path also calls evaluate(), so a sampler that locked
-/// the engine under the alert mutex would invert the lock order against
-/// a concurrent seal and deadlock the daemon.
+/// The wall-clock tick's alert sampler: the live derived series as the
+/// same (metric, label, value) rows a seal snapshot carries. The engine
+/// view is captured *once, here* — never from inside evaluate(), which
+/// holds the alert mutex: the seal hook also calls evaluate(), so a
+/// sampler that locked the engine under the alert mutex would invert
+/// the lock order against a concurrent seal and deadlock the daemon.
 obs::alert_engine::sampler live_sampler(const stream_engine& engine) {
-    auto lv = std::make_shared<const live_view>(engine.live(0));
-    return [lv](const std::string& series,
-                const std::string& label) -> std::optional<double> {
-        for (const live_series_view& v : lv->series)
-            if (v.metric == series && v.label == label && !v.history.empty())
-                return v.current;
-        return std::nullopt;
-    };
+    std::vector<net::tel_sample> rows;
+    for (const live_series_view& v : engine.live(0).series)
+        if (!v.history.empty()) rows.push_back({v.metric, v.label, 0, v.current});
+    return obs::row_sampler(std::move(rows));
 }
 
 /// Builds the /dashboard model from a consistent engine view plus the
@@ -166,8 +128,7 @@ obs::dashboard_model build_dashboard(const stream_engine& engine,
                                      const obs::metrics_server& server,
                                      const net::enrichment* enrich,
                                      const net::asn_ledger* ledger,
-                                     const obs::tsdb::database* tsdb,
-                                     const obs::alert_engine* alerts) {
+                                     const tools::daemon_host& host) {
     const stream_stats s = engine.stats();
     const live_view lv = engine.live();
     obs::dashboard_model model;
@@ -181,7 +142,10 @@ obs::dashboard_model build_dashboard(const stream_engine& engine,
         {"distinct /128s", std::to_string(s.distinct_addresses)},
         {"distinct /64s", std::to_string(s.distinct_projected)},
         {"late dropped", std::to_string(s.late_dropped)},
-        {"drift events", std::to_string(engine.events().total())},
+        {"drift events",
+         std::to_string(engine.metrics()
+                            .get_counter("v6class_drift_events_total")
+                            .value())},
     };
     if (enrich) {
         const auto snap = enrich->snapshot();
@@ -208,8 +172,7 @@ obs::dashboard_model build_dashboard(const stream_engine& engine,
                    {"/profile", "profile"},
                    {"/pmu", "pmu"},
                    {"/healthz", "healthz"}};
-    if (tsdb) model.links.push_back({"/api/series", "series"});
-    if (alerts) model.links.push_back({"/alerts", "alerts"});
+    host.decorate_dashboard(model);
 
     // Runtime panel: the process-level gauges that /metrics exports but
     // the dashboard never surfaced — which kernel tier is live, how big
@@ -246,7 +209,7 @@ obs::dashboard_model build_dashboard(const stream_engine& engine,
     // Flight-recorder charts: the headline derived series over their
     // whole stored range (they survive restarts, unlike the in-memory
     // sparklines above), downsampled to chart resolution.
-    if (tsdb) {
+    if (const obs::tsdb::database* tsdb = host.tsdb()) {
         static constexpr std::pair<const char*, const char*> kCharts[] = {
             {"v6class_gamma16_48", "gamma^16 at p=48 over all stored days"},
             {"v6class_gamma4_60", "gamma^4 at p=60 over all stored days"},
@@ -273,21 +236,6 @@ obs::dashboard_model build_dashboard(const stream_engine& engine,
             for (const obs::tsdb::point& p : ds)
                 chart.points.push_back({p.ts, p.value});
             model.charts.push_back(std::move(chart));
-        }
-    }
-
-    if (alerts) {
-        model.show_alerts = true;
-        for (const obs::alert_engine::status& s : alerts->snapshot()) {
-            obs::dashboard_alert row;
-            row.name = s.rule.name;
-            row.state = obs::alert_state_name(s.state);
-            row.detail = alert_detail(s.rule);
-            if (s.value) {
-                row.value = *s.value;
-                row.has_value = true;
-            }
-            model.alerts.push_back(std::move(row));
         }
     }
     return model;
@@ -329,8 +277,8 @@ void print_final(const stream_snapshot& s, std::uint64_t malformed) {
 /// Drains and prints day reports not yet printed (each followed by its
 /// per-ASN breakdown when a ledger is active); returns the new count.
 /// With a flight recorder, the sealed day's top-ASN rows become durable
-/// series here too (the live derived series are flushed by the engine's
-/// own seal path).
+/// series here too (the live derived series are recorded by the seal
+/// hook).
 std::size_t drain_reports(const stream_engine& engine, std::size_t printed,
                           net::asn_ledger* ledger,
                           obs::tsdb::database* tsdb = nullptr) {
@@ -359,10 +307,8 @@ std::size_t drain_reports(const stream_engine& engine, std::size_t printed,
 /// only after the replacement loaded cleanly, so a failed reload logs
 /// and keeps the previous state serving. Unchanged alert rules keep
 /// their firing/pending state across the reload.
-void maybe_reload(net::enrichment* enrich, obs::alert_engine* alerts,
-                  const std::string& alerts_path) {
-    if (!g_reload) return;
-    g_reload = 0;
+void maybe_reload(tools::daemon_host& host, net::enrichment* enrich) {
+    if (!host.reload_requested()) return;
     if (enrich) {
         std::string error;
         if (enrich->reload(&error)) {
@@ -378,21 +324,7 @@ void maybe_reload(net::enrichment* enrich, obs::alert_engine* alerts,
                          enrich->path().c_str(), error.c_str());
         }
     }
-    if (alerts && !alerts_path.empty()) {
-        std::string error;
-        if (alerts->load_file(alerts_path, &error)) {
-            std::fprintf(stderr, "reloaded %s: %zu alert rules\n",
-                         alerts_path.c_str(), alerts->rule_count());
-            obs::event_log::global().log(
-                obs::event_level::info, "lifecycle", "alert rules reloaded",
-                {{"rules", obs::event_field_number(
-                               static_cast<double>(alerts->rule_count()))}});
-        } else {
-            std::fprintf(stderr, "warning: reload of alert rules failed (%s); "
-                                 "keeping previous rules\n",
-                         error.c_str());
-        }
-    }
+    host.reload_alerts();
 }
 
 /// One periodic federation push: the node's status frame plus any
@@ -554,9 +486,7 @@ int main(int argc, char** argv) {
     }
     if (!classes.empty()) cfg.density_classes = std::move(classes);
 
-    std::signal(SIGINT, handle_stop);
-    std::signal(SIGTERM, handle_stop);
-    std::signal(SIGHUP, handle_reload);
+    tools::daemon_host host;
 
     // The daemon shares the process-wide registry so one /metrics endpoint
     // covers the engine, the library phase timers, and the tool itself —
@@ -580,56 +510,23 @@ int main(int argc, char** argv) {
         obs::event_log::global().enable_file(flags.get("events-out"),
                                              events_cap, &reg);
 
-    // Durable flight recorder (optional): open/recover BEFORE the engine
-    // so init_live() can re-anchor the live series on the stored history.
-    std::unique_ptr<obs::tsdb::database> tsdb;
+    // Durable flight recorder (optional).
     if (!state_dir.empty()) {
         obs::tsdb::options topt;
         topt.metrics = &reg;
         topt.retain_bytes = retain_bytes;
         topt.retain_age = retain_days;
-        std::string error;
-        tsdb = obs::tsdb::database::open(
-            (std::filesystem::path(state_dir) / "tsdb").string(), topt, &error);
-        if (!tsdb) {
-            std::fprintf(stderr, "error: cannot open state dir %s: %s\n",
-                         state_dir.c_str(), error.c_str());
-            return 1;
-        }
-        std::fprintf(stderr,
-                     "flight recorder %s: %llu points recovered, %zu series, "
-                     "%zu segments%s\n",
-                     tsdb->dir().c_str(),
-                     static_cast<unsigned long long>(tsdb->recovered_points()),
-                     tsdb->list_series().size(), tsdb->segment_count(),
-                     tsdb->truncated_bytes() ? " [torn tail truncated]" : "");
-        cfg.tsdb = tsdb.get();
+        if (!host.open_state_dir(state_dir, topt)) return 1;
     }
+    if (!alerts_path.empty() &&
+        !host.load_alerts(alerts_path, alerts_notify, reg))
+        return 1;
+    obs::tsdb::database* const tsdb = host.tsdb();
+    obs::alert_engine* const alert_ptr = host.alerts();
 
-    // Alert rules engine (optional): a startup parse error is an
-    // operator error and fatal, unlike a failed SIGHUP *re*load, which
-    // keeps the previous rules running. Constructed before the engine so
-    // stream_config::alerts is evaluated at every seal.
-    std::optional<obs::alert_engine> alerts;
-    if (!alerts_path.empty()) {
-        alerts.emplace(&reg, &obs::event_log::global());
-        std::string error;
-        if (!alerts->load_file(alerts_path, &error)) {
-            std::fprintf(stderr, "error: cannot load %s: %s\n",
-                         alerts_path.c_str(), error.c_str());
-            return 1;
-        }
-        if (!alerts_notify.empty()) alerts->set_notify_command(alerts_notify);
-        std::fprintf(stderr, "loaded %s: %zu alert rules (SIGHUP reloads)\n",
-                     alerts_path.c_str(), alerts->rule_count());
-        cfg.alerts = &*alerts;
-    }
-    obs::alert_engine* alert_ptr = alerts ? &*alerts : nullptr;
-
-    // Federation pusher (optional): constructed before the engine so
-    // stream_config::federate is armed for the very first seal. The
-    // connection itself is lazy — a not-yet-started aggregator costs
-    // counted failures, not a startup error.
+    // Federation pusher (optional). The connection itself is lazy — a
+    // not-yet-started aggregator costs counted failures, not a startup
+    // error.
     std::unique_ptr<obs::federate::telemetry_pusher> pusher;
     std::uint64_t push_event_cursor = 0;
     if (!push_text.empty()) {
@@ -649,13 +546,25 @@ int main(int argc, char** argv) {
         pcfg.port = static_cast<std::uint16_t>(push_port);
         pcfg.node = node_name;
         pusher = std::make_unique<obs::federate::telemetry_pusher>(pcfg);
-        cfg.federate = [p = pusher.get()](
-                           const obs::federate::seal_snapshot& snap) {
-            p->push_seal(snap);
-        };
         std::fprintf(stderr, "pushing telemetry to %s as node %s\n",
                      push_text.c_str(), node_name.c_str());
     }
+
+    // The seal hook: alert rules first, then the flight recorder, then
+    // the push — so a seal's alert transitions commit together with that
+    // seal's points. The recorder is built before the engine, so events
+    // logged from here on (the lifecycle start included) persist.
+    std::optional<obs::tsdb::seal_sink> recorder;
+    if (tsdb) recorder.emplace(*tsdb, obs::event_log::global());
+    if (alert_ptr || recorder || pusher)
+        cfg.on_seal = [alert_ptr, rec = recorder ? &*recorder : nullptr,
+                       push = pusher.get()](
+                          const obs::federate::seal_snapshot& snap) {
+            if (alert_ptr)
+                alert_ptr->evaluate(obs::row_sampler(snap.series), snap.day);
+            if (rec) (*rec)(snap);
+            if (push) push->push_seal(snap);
+        };
 
     stream_engine engine(cfg);
 
@@ -687,7 +596,7 @@ int main(int argc, char** argv) {
 
     obs::metrics_server server;
     if (metrics_given) {
-        server.set_health_payload([&engine, &state_dir, alert_ptr] {
+        server.set_health_payload([&engine, &state_dir, &host] {
             const stream_stats s = engine.stats();
             std::string out =
                 "\"last_seal_day\":" +
@@ -697,37 +606,15 @@ int main(int argc, char** argv) {
                 ",\"records\":" + std::to_string(s.records);
             if (!state_dir.empty())
                 out += ",\"state_dir\":" + obs::event_field_string(state_dir);
-            if (alert_ptr)
-                out += ",\"alerts\":{\"firing\":" +
-                       std::to_string(alert_ptr->firing_count()) +
-                       ",\"pending\":" +
-                       std::to_string(alert_ptr->pending_count()) + "}";
-            return out;
+            return out + host.health_alerts();
         });
-        server.set_dashboard(
-            [&engine, &server, enrich_ptr, ledger_ptr, &tsdb, alert_ptr] {
-                return obs::render_dashboard(build_dashboard(
-                    engine, server, enrich_ptr, ledger_ptr, tsdb.get(),
-                    alert_ptr));
-            });
-
-        // The history API (tsdb-backed) and the alert status endpoint
-        // ride the same server via the generic handler table. The
-        // history handlers are the shared tsdb ones — v6agg mounts the
-        // identical pair over the fleet store.
-        if (tsdb) obs::tsdb::register_history_api(server, tsdb.get());
-        if (alert_ptr)
-            server.add_handler("/alerts", [alert_ptr](const obs::query_params&) {
-                obs::http_reply reply;
-                reply.body = "{\"firing\":" +
-                             std::to_string(alert_ptr->firing_count()) +
-                             ",\"pending\":" +
-                             std::to_string(alert_ptr->pending_count()) +
-                             ",\"evaluations\":" +
-                             std::to_string(alert_ptr->evaluations()) +
-                             ",\"rules\":" + alert_ptr->status_json() + "}";
-                return reply;
-            });
+        server.set_dashboard([&engine, &server, enrich_ptr, ledger_ptr, &host] {
+            return obs::render_dashboard(
+                build_dashboard(engine, server, enrich_ptr, ledger_ptr, host));
+        });
+        // The history API and /alerts ride the same server via the
+        // generic handler table — the same pair v6agg mounts.
+        host.mount(server);
 
         std::string error;
         const auto port =
@@ -777,9 +664,9 @@ int main(int argc, char** argv) {
         auto last_tick = last_status;
         while (!g_stop) {
             std::this_thread::sleep_for(std::chrono::milliseconds(50));
-            maybe_reload(enrich_ptr, alert_ptr, alerts_path);
+            maybe_reload(host, enrich_ptr);
             printed_reports =
-                drain_reports(engine, printed_reports, ledger_ptr, tsdb.get());
+                drain_reports(engine, printed_reports, ledger_ptr, tsdb);
             const auto now = std::chrono::steady_clock::now();
             // Wall-clock tick: a listening daemon may go days between
             // seals, so the throughput gauges are recorded (and the
@@ -852,7 +739,7 @@ int main(int argc, char** argv) {
                      static_cast<unsigned long long>(result.records),
                      result.stopped ? " [interrupted]" : "",
                      static_cast<unsigned long long>(result.decode.rejected()));
-        printed_reports = drain_reports(engine, printed_reports, ledger_ptr, tsdb.get());
+        printed_reports = drain_reports(engine, printed_reports, ledger_ptr, tsdb);
     } else if (!replay_path.empty()) {
         // Replay a day_<n>.log corpus directory in day order. The stop
         // flag is honoured between *records*, not just between days, so
@@ -878,7 +765,7 @@ int main(int argc, char** argv) {
         std::shared_ptr<const net::asn_db> snap;
         for (const int day : days) {
             if (g_stop) break;
-            maybe_reload(enrich_ptr, alert_ptr, alerts_path);
+            maybe_reload(host, enrich_ptr);
             const daily_log log = read_log_file(
                 fs::path(replay_path) / corpus_file_name(day), day);
             for (const observation& o : log.records) {
@@ -907,7 +794,7 @@ int main(int argc, char** argv) {
                 engine.push(day, o.addr, o.hits);
                 ++pushed;
             }
-            printed_reports = drain_reports(engine, printed_reports, ledger_ptr, tsdb.get());
+            printed_reports = drain_reports(engine, printed_reports, ledger_ptr, tsdb);
         }
     } else {
         std::ifstream file;
@@ -939,7 +826,7 @@ int main(int argc, char** argv) {
                                  line.c_str());
                 continue;
             }
-            maybe_reload(enrich_ptr, alert_ptr, alerts_path);
+            maybe_reload(host, enrich_ptr);
             if (ledger_ptr)
                 ledger_ptr->note(
                     record.day,
@@ -960,7 +847,7 @@ int main(int argc, char** argv) {
                 rate_records = s.records;
                 ingest_rate.set(static_cast<std::int64_t>(r));
                 print_status(s, r);
-                printed_reports = drain_reports(engine, printed_reports, ledger_ptr, tsdb.get());
+                printed_reports = drain_reports(engine, printed_reports, ledger_ptr, tsdb);
             }
         }
     }
@@ -973,7 +860,7 @@ int main(int argc, char** argv) {
     // files reflect the fully-settled registry, including the last seal.
     server.set_state("draining");
     engine.finish();
-    printed_reports = drain_reports(engine, printed_reports, ledger_ptr, tsdb.get());
+    printed_reports = drain_reports(engine, printed_reports, ledger_ptr, tsdb);
     // Final federation push: the aggregator sees the last seal's status
     // (and any shutdown events) before the connection drops.
     push_telemetry(pusher.get(), engine, push_event_cursor);
