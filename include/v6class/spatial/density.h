@@ -30,6 +30,13 @@ std::vector<density_row> compute_density_table(
     const radix_tree& tree,
     const std::vector<std::pair<std::uint64_t, unsigned>>& classes);
 
+/// Same rows from the dataset's distinct addresses, each listed once, by
+/// the paper's footnote-3 sort (dense_prefixes_by_sort) — no trie. The
+/// stream engine's path: it keeps its distinct set sorted.
+std::vector<density_row> compute_density_table(
+    const std::vector<address>& sorted_unique,
+    const std::vector<std::pair<std::uint64_t, unsigned>>& classes);
+
 /// The addresses of `candidates` that fall inside any of the (sorted,
 /// non-overlapping) dense prefixes. Used to count covered WWW client /
 /// router addresses and to pick probe targets.

@@ -21,9 +21,10 @@
 // a whole number of days — never a half-rolled one. Per-address answers
 // (distinct counts, spectra, stability) merge exactly across shards
 // because the shards partition the address space; prefix-density and
-// MRA answers are computed from a merged trie built under the lock from
-// the shards' observation-store keys (their one copy of the distinct
-// set).
+// MRA answers are computed under the lock from one sorted copy of the
+// shards' observation-store keys (their one copy of the distinct set):
+// n@/p density by counting runs of equal /p prefixes, MRA aggregate
+// counts from the common-prefix lengths of sorted neighbours.
 #pragma once
 
 #include <condition_variable>
@@ -49,7 +50,6 @@
 #include "v6class/stream/bounded_queue.h"
 #include "v6class/stream/record.h"
 #include "v6class/stream/shard.h"
-#include "v6class/trie/radix_tree.h"
 
 namespace v6 {
 
@@ -151,12 +151,9 @@ struct day_report {
     double stable_fraction = 0;  ///< stable / active (0 when no active)
     double est_day_addresses = 0, est_day_48s = 0, est_day_64s = 0;
 
-    // Introspection sampled at this seal: the merged trie's arena
-    // occupancy (live node slots, free-listed slots) and the v6::par
-    // pool's seat utilization over the interval since the previous
-    // seal (0..1, 0 while the pool sat idle).
-    std::uint64_t arena_nodes = 0;
-    std::uint64_t arena_free = 0;
+    // Introspection sampled at this seal: the v6::par pool's seat
+    // utilization over the interval since the previous seal (0..1, 0
+    // while the pool sat idle).
     double pool_utilization = 0;
     /// Instructions per cycle inside shard.ingest_batch scopes over the
     /// same inter-seal interval (0 without a hardware PMU or while
@@ -303,7 +300,6 @@ private:
     day_report build_report(int day) const;    // takes state_mutex_ shared
     // state_mutex_ held (any mode): the shards' distinct /128s, sorted.
     std::vector<address> sorted_distinct_locked() const;
-    radix_tree merged_tree_locked() const;     // state_mutex_ held (any mode)
     void init_metrics();
     void init_live();
 
@@ -335,9 +331,6 @@ private:
         std::vector<obs::gauge> queue_depth;       // one per shard
         std::vector<obs::gauge> queue_high_water;  // one per shard
         obs::histogram seal_latency, report_build;
-        // Introspection gauges, refreshed per seal: merged-trie arena
-        // occupancy/free-list and process RSS.
-        obs::gauge arena_live, arena_free;
     };
 
     stream_config cfg_;
@@ -373,11 +366,11 @@ private:
 
     /// One live derived series: the registry gauge, the dashboard's
     /// ring history, and — for classification series only — its drift
-    /// detector. Introspection series (pool utilization, arena nodes,
-    /// ingest IPC) describe the machine, not the addresses, and pool
-    /// utilization and IPC move with scheduling noise, so they carry no
-    /// detector. All guarded by live_mutex_ (written once per seal by
-    /// the roll thread, read by /dashboard).
+    /// detector. Introspection series (pool utilization, ingest IPC)
+    /// describe the machine, not the addresses, and move with
+    /// scheduling noise, so they carry no detector. All guarded by
+    /// live_mutex_ (written once per seal by the roll thread, read by
+    /// /dashboard).
     struct live_series {
         std::string name;
         std::string help;
@@ -400,7 +393,7 @@ private:
     std::size_t li_hits_p50_ = 0, li_hits_p99_ = 0;
     std::size_t li_dense_first_ = 0;   // one per cfg_.density_classes entry
     std::size_t li_est_first_ = 0;     // addrs, /48s, /64s (sketches on)
-    std::size_t li_pool_util_ = 0, li_arena_nodes_ = 0;
+    std::size_t li_pool_util_ = 0;
     // SIZE_MAX = not registered (no hardware PMU on this machine).
     std::size_t li_pmu_ipc_ = SIZE_MAX;
     obs::counter drift_events_;

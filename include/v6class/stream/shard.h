@@ -5,11 +5,11 @@
 // what makes the per-address analyses (distinct counts, stability,
 // lifetime spectra) exactly mergeable: summing per-shard answers equals
 // the unsharded answer. Anything keyed by a *coarser* unit straddles
-// shards — prefix density and MRA are answered from a merged trie the
-// engine builds from every shard's observation-store keys, and the
-// projected (/64) observation store lives in the engine, fed at seal
-// time — because two addresses of one /64 routinely hash to different
-// shards, so per-shard projected counts would double-count.
+// shards — prefix density and MRA are answered from one sorted copy of
+// every shard's observation-store keys, and the projected (/64)
+// observation store lives in the engine, fed at seal time — because two
+// addresses of one /64 routinely hash to different shards, so per-shard
+// projected counts would double-count.
 //
 // State is SoA end to end: the open day stages as address_block lanes,
 // and the flat /128 observation store is the shard's only copy of its

@@ -75,21 +75,6 @@ public:
     /// Number of trie nodes currently live (branch + counted).
     std::size_t node_count() const noexcept { return node_count_; }
 
-    /// Arena occupancy for introspection gauges: how many node slots
-    /// the arena holds (`size`), how many are live, how long the
-    /// intrusive free list is, and the vector capacity (allocated but
-    /// possibly unconstructed slots).
-    struct arena_stats {
-        std::size_t capacity = 0;   ///< nodes_.capacity()
-        std::size_t size = 0;       ///< constructed slots (live + free)
-        std::size_t live = 0;       ///< node_count()
-        std::size_t free_list = 0;  ///< slots parked for reuse
-    };
-    arena_stats arena() const noexcept {
-        return {nodes_.capacity(), nodes_.size(), node_count_,
-                nodes_.size() - node_count_};
-    }
-
     /// True when nothing has been added.
     bool empty() const noexcept { return root_ == nil; }
 
@@ -166,11 +151,13 @@ private:
     std::size_t node_count_ = 0;
 };
 
-/// Reference implementation of the exact-length dense query by the
-/// paper's footnote-3 recipe — print addresses as fixed-width hex, cut to
-/// p/4 characters, sort, uniq -c — for cross-checking the trie. The
-/// address list is copied and sorted internally; duplicates count once
-/// per occurrence, matching radix_tree::add of each element.
+/// The exact-length dense query by the paper's footnote-3 recipe — print
+/// addresses as fixed-width hex, cut to p/4 characters, sort, uniq -c —
+/// with no trie. This is the stream engine's production path (via the
+/// sorted-set compute_density_table); dense_prefixes_at on a trie of the
+/// same addresses is its cross-check. The address list is copied and
+/// sorted internally; duplicates count once per occurrence, matching
+/// radix_tree::add of each element.
 std::vector<dense_prefix> dense_prefixes_by_sort(const std::vector<address>& addrs,
                                                  std::uint64_t min_count, unsigned p);
 

@@ -158,7 +158,15 @@ public:
     }
 
 private:
-    pool() = default;
+    // Statics are destroyed in reverse order of construction. Touching
+    // the handles here constructs registry::global() (and them) before
+    // the pool finishes constructing, so the registry outlives the pool:
+    // ~pool joins workers that may still be bumping these gauges.
+    pool() {
+        tasks_total();
+        workers_gauge();
+        active_gauge();
+    }
     ~pool() {
         {
             std::lock_guard<std::mutex> lock(mu_);

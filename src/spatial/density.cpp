@@ -8,11 +8,15 @@
 
 namespace v6 {
 
-density_row compute_density_class(const radix_tree& tree, std::uint64_t n, unsigned p) {
+namespace {
+
+/// One Table-3 row from a class's dense prefixes — the row arithmetic
+/// both the trie and the sorted-set overloads share.
+density_row make_row(std::uint64_t n, unsigned p,
+                     const std::vector<dense_prefix>& dense) {
     density_row row;
     row.n = n;
     row.p = p;
-    const std::vector<dense_prefix> dense = tree.dense_prefixes_at(n, p);
     row.dense_prefix_count = dense.size();
     for (const dense_prefix& d : dense) row.covered_addresses += d.observed;
     row.possible_addresses =
@@ -25,17 +29,43 @@ density_row compute_density_class(const radix_tree& tree, std::uint64_t n, unsig
     return row;
 }
 
+/// Evaluates every class with `dense_at(n, p)`. Classes are independent
+/// reads of one immutable input; fan them out and keep the rows in class
+/// order (slot per index → deterministic).
+template <class DenseAt>
+std::vector<density_row> density_table(
+    const std::vector<std::pair<std::uint64_t, unsigned>>& classes,
+    DenseAt&& dense_at) {
+    static const obs::histogram phase = obs::registry::global().get_histogram(
+        "v6_spatial_density_table_seconds", obs::latency_buckets(), {},
+        "Time to compute every configured n@/p density class over a "
+        "distinct address set.");
+    const obs::trace_scope span("density_table", phase);
+    return par::map_indexed<density_row>(classes.size(), [&](std::size_t i) {
+        const auto [n, p] = classes[i];
+        return make_row(n, p, dense_at(n, p));
+    });
+}
+
+}  // namespace
+
+density_row compute_density_class(const radix_tree& tree, std::uint64_t n, unsigned p) {
+    return make_row(n, p, tree.dense_prefixes_at(n, p));
+}
+
 std::vector<density_row> compute_density_table(
     const radix_tree& tree,
     const std::vector<std::pair<std::uint64_t, unsigned>>& classes) {
-    static const obs::histogram phase = obs::registry::global().get_histogram(
-        "v6_spatial_density_table_seconds", obs::latency_buckets(), {},
-        "Time to compute every configured n@/p density class over a trie.");
-    const obs::trace_scope span("density_table", phase);
-    // Classes are independent reads of one immutable trie; fan them out
-    // and keep the rows in class order (slot per index → deterministic).
-    return par::map_indexed<density_row>(classes.size(), [&](std::size_t i) {
-        return compute_density_class(tree, classes[i].first, classes[i].second);
+    return density_table(classes, [&](std::uint64_t n, unsigned p) {
+        return tree.dense_prefixes_at(n, p);
+    });
+}
+
+std::vector<density_row> compute_density_table(
+    const std::vector<address>& sorted_unique,
+    const std::vector<std::pair<std::uint64_t, unsigned>>& classes) {
+    return density_table(classes, [&](std::uint64_t n, unsigned p) {
+        return dense_prefixes_by_sort(sorted_unique, n, p);
     });
 }
 

@@ -104,13 +104,6 @@ void stream_engine::init_metrics() {
     m_.report_build = reg.get_histogram(
         "v6_stream_report_build_seconds", obs::latency_buckets(), {},
         "Time to recompute a day report (overlaps next-day ingest).");
-    m_.arena_live = reg.get_gauge(
-        "v6_trie_arena_live_nodes", {},
-        "Live node slots in the merged trie's arena at the last seal.");
-    m_.arena_free = reg.get_gauge(
-        "v6_trie_arena_free_slots", {},
-        "Free-listed node slots in the merged trie's arena at the last "
-        "seal.");
 }
 
 void stream_engine::init_live() {
@@ -172,18 +165,14 @@ void stream_engine::init_live() {
         add("day_64s_est", "v6class_day_distinct_64s_estimate",
             "HLL estimate of the sealed day's distinct /64 prefixes.");
     }
-    // Infrastructure introspection surfaced as sparklines: how busy the
-    // work pool's seats were between seals and how large the merged
-    // trie's arena has grown. No drift detector: these describe the
-    // machine, not the addresses, and a steady feed must raise no drift
-    // events on scheduling noise.
+    // Infrastructure introspection surfaced as a sparkline: how busy
+    // the work pool's seats were between seals. No drift detector: it
+    // describes the machine, not the addresses, and a steady feed must
+    // raise no drift events on scheduling noise.
     li_pool_util_ = add("pool util", "v6_par_pool_utilization",
                         "v6::par pool seat utilization between this seal "
                         "and the previous one (0..1).",
                         {}, false);
-    li_arena_nodes_ = add("arena nodes", "v6_trie_arena_nodes",
-                          "Live node slots in the merged trie's arena.", {},
-                          false);
     // Per-interval ingest IPC rides the same machinery, but only where
     // a hardware PMU exists — a permanently-zero series would just
     // waste a dashboard tile and tsdb space on software-only boxes.
@@ -527,11 +516,7 @@ void stream_engine::roll_loop() {
                 pmu_last_instr_ = ins;
             }
         }
-        if (cfg_.metrics) {
-            m_.arena_live.set(static_cast<std::int64_t>(report.arena_nodes));
-            m_.arena_free.set(static_cast<std::int64_t>(report.arena_free));
-            obs::update_process_gauges(*metrics_);
-        }
+        if (cfg_.metrics) obs::update_process_gauges(*metrics_);
         update_live(report, seal);
         if (cfg_.on_seal) cfg_.on_seal(make_seal_snapshot(seal));
         {
@@ -568,14 +553,12 @@ day_report stream_engine::build_report(int day) const {
     }
     report.distinct_projected = projected_store_.distinct_count();
     report.active = report.stable + report.not_stable;
-    const radix_tree merged = merged_tree_locked();
-    const radix_tree::arena_stats arena = merged.arena();
-    report.arena_nodes = arena.live;
-    report.arena_free = arena.free_list;
-    report.density = compute_density_table(merged, cfg_.density_classes);
-    // The live derived series: MRA ratios around the /64 boundary from
-    // the same merged trie the density table used.
-    const mra_series mra = compute_mra_from_trie(merged);
+    // Density and the live MRA ratios around the /64 boundary both come
+    // from one sorted copy of the distinct set (footnote-3 runs, adjacent
+    // common-prefix lengths).
+    const std::vector<address> distinct = sorted_distinct_locked();
+    report.density = compute_density_table(distinct, cfg_.density_classes);
+    const mra_series mra = compute_mra_sorted(distinct);
     report.gamma1 = mra.ratio(64, 1);
     report.gamma4 = mra.ratio(60, 4);
     report.gamma16 = mra.ratio(48, 16);
@@ -649,7 +632,6 @@ void stream_engine::update_live(const day_report& report,
         feed(li_est_first_ + 2, report.est_day_64s);
     }
     feed(li_pool_util_, report.pool_utilization);
-    feed(li_arena_nodes_, static_cast<double>(report.arena_nodes));
     if (li_pmu_ipc_ != SIZE_MAX) feed(li_pmu_ipc_, report.ingest_ipc);
 }
 
@@ -731,21 +713,13 @@ std::vector<address> stream_engine::sorted_distinct_locked() const {
     // The shards partition the /128 space by address hash, so their
     // observation-store keys concatenate without overlap: collect the
     // lanes and radix-sort them once.
+    obs::span span("merge_distinct", obs::span_kind::merge);
     std::size_t total = 0;
     for (const auto& s : shards_) total += s->distinct_addresses();
     simd::address_block keys(total);
     for (const auto& s : shards_) s->store().append_keys(keys);
     simd::sort_block(keys);
     return keys.to_vector();
-}
-
-radix_tree stream_engine::merged_tree_locked() const {
-    // Bulk-built bottom-up from the sorted distinct set instead of
-    // re-inserting node by node.
-    obs::span span("merge_tree", obs::span_kind::merge);
-    radix_tree merged;
-    merged.bulk_build(sorted_distinct_locked());
-    return merged;
 }
 
 stream_snapshot stream_engine::snapshot() const {
@@ -767,7 +741,7 @@ stream_snapshot stream_engine::snapshot() const {
     }
     out.distinct_projected = projected_store_.distinct_count();
     out.spectrum = std::move(merged_spectrum);
-    out.density = compute_density_table(merged_tree_locked(), cfg_.density_classes);
+    out.density = compute_density_table(sorted_distinct_locked(), cfg_.density_classes);
     return out;
 }
 
@@ -806,7 +780,7 @@ std::vector<std::uint64_t> stream_engine::stability_spectrum(unsigned max_n) con
 std::vector<density_row> stream_engine::density_table(
     const std::vector<std::pair<std::uint64_t, unsigned>>& classes) const {
     std::shared_lock state(state_mutex_);
-    return compute_density_table(merged_tree_locked(), classes);
+    return compute_density_table(sorted_distinct_locked(), classes);
 }
 
 std::vector<address> stream_engine::distinct_addresses() const {
@@ -814,7 +788,9 @@ std::vector<address> stream_engine::distinct_addresses() const {
     return sorted_distinct_locked();
 }
 
-mra_series stream_engine::mra() const { return compute_mra(distinct_addresses()); }
+mra_series stream_engine::mra() const {
+    return compute_mra_sorted(distinct_addresses());
+}
 
 std::vector<day_report> stream_engine::reports() const {
     std::lock_guard lock(reports_mutex_);

@@ -1,11 +1,14 @@
 // Batch-vs-stream differential: replaying a >=100k-record feed through
 // the streaming engine must reproduce the batch pipeline's answers
 // *exactly* — same stability split, same lifetime spectrum, same Table-3
-// density rows, same distinct set, same MRA counts — for any shard
-// count (including the unsharded engine).
+// density rows, same distinct set, same MRA counts, and in every day
+// report the density rows and MRA ratios of the days sealed so far —
+// for any shard count (including the unsharded engine). The reference
+// density and MRA come from a radix_tree; the engine has none.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 
 #include "v6class/netgen/rng.h"
 #include "v6class/spatial/density.h"
@@ -77,6 +80,33 @@ struct batch_state {
     }
 };
 
+// The trie over the distinct addresses of every feed day up to `day`.
+radix_tree tree_through(const std::vector<stream_record>& feed, int day) {
+    std::vector<address> seen;
+    for (const stream_record& rec : feed)
+        if (rec.day <= day) seen.push_back(rec.addr);
+    std::sort(seen.begin(), seen.end());
+    seen.erase(std::unique(seen.begin(), seen.end()), seen.end());
+    radix_tree tree;
+    for (const address& a : seen) tree.add(a);
+    return tree;
+}
+
+// Table-3 rows, every field.
+void expect_same_rows(const std::vector<density_row>& got,
+                      const std::vector<density_row>& want,
+                      const std::string& where) {
+    ASSERT_EQ(got.size(), want.size()) << where;
+    for (std::size_t i = 0; i < want.size(); ++i) {
+        EXPECT_EQ(got[i].n, want[i].n) << where;
+        EXPECT_EQ(got[i].p, want[i].p) << where;
+        EXPECT_EQ(got[i].dense_prefix_count, want[i].dense_prefix_count) << where;
+        EXPECT_EQ(got[i].covered_addresses, want[i].covered_addresses) << where;
+        EXPECT_EQ(got[i].possible_addresses, want[i].possible_addresses) << where;
+        EXPECT_EQ(got[i].address_density, want[i].address_density) << where;
+    }
+}
+
 class StreamDifferential : public ::testing::TestWithParam<unsigned> {};
 
 TEST_P(StreamDifferential, StreamReproducesBatchExactly) {
@@ -117,18 +147,8 @@ TEST_P(StreamDifferential, StreamReproducesBatchExactly) {
     EXPECT_EQ(engine.stability_spectrum(14), batch.store128.stability_spectrum(14));
 
     // Table-3 density rows, every field.
-    const std::vector<density_row> want_rows =
-        compute_density_table(batch.tree, kClasses);
-    const std::vector<density_row> got_rows = engine.density_table(kClasses);
-    ASSERT_EQ(got_rows.size(), want_rows.size());
-    for (std::size_t i = 0; i < want_rows.size(); ++i) {
-        EXPECT_EQ(got_rows[i].n, want_rows[i].n);
-        EXPECT_EQ(got_rows[i].p, want_rows[i].p);
-        EXPECT_EQ(got_rows[i].dense_prefix_count, want_rows[i].dense_prefix_count);
-        EXPECT_EQ(got_rows[i].covered_addresses, want_rows[i].covered_addresses);
-        EXPECT_EQ(got_rows[i].possible_addresses, want_rows[i].possible_addresses);
-        EXPECT_EQ(got_rows[i].address_density, want_rows[i].address_density);
-    }
+    expect_same_rows(engine.density_table(kClasses),
+                     compute_density_table(batch.tree, kClasses), "final");
 
     // MRA aggregate counts at every prefix length.
     const mra_series want_mra = compute_mra_sorted(batch.distinct);
@@ -136,16 +156,26 @@ TEST_P(StreamDifferential, StreamReproducesBatchExactly) {
     for (unsigned p = 0; p <= 128; ++p)
         EXPECT_EQ(got_mra.aggregate_count(p), want_mra.aggregate_count(p)) << p;
 
-    // The day reports produced along the way agree with batch counts.
+    // The day reports produced along the way agree with batch counts,
+    // and their density rows and MRA ratios with the trie over the
+    // distinct addresses of the days sealed by then.
     const auto reports = engine.reports();
     ASSERT_EQ(reports.size(),
               static_cast<std::size_t>(kLastDay - kFirstDay + 1));
     for (const day_report& rep : reports) {
+        const std::string at = "day=" + std::to_string(rep.day);
         EXPECT_EQ(rep.ref_day, rep.day - cfg.window.window_fwd);
         const stability_split want = an.classify_day(rep.ref_day, cfg.stability_n);
-        EXPECT_EQ(rep.stable, want.stable.size()) << "day=" << rep.day;
-        EXPECT_EQ(rep.not_stable, want.not_stable.size()) << "day=" << rep.day;
+        EXPECT_EQ(rep.stable, want.stable.size()) << at;
+        EXPECT_EQ(rep.not_stable, want.not_stable.size()) << at;
         EXPECT_EQ(rep.active, want.stable.size() + want.not_stable.size());
+
+        const radix_tree tree = tree_through(feed, rep.day);
+        expect_same_rows(rep.density, compute_density_table(tree, kClasses), at);
+        const mra_series mra = compute_mra_from_trie(tree);
+        EXPECT_EQ(rep.gamma1, mra.ratio(64, 1)) << at;
+        EXPECT_EQ(rep.gamma4, mra.ratio(60, 4)) << at;
+        EXPECT_EQ(rep.gamma16, mra.ratio(48, 16)) << at;
     }
 
     // And the final snapshot is the whole-feed summary.

@@ -272,22 +272,30 @@ TEST_F(ToolsTest, StreamForcedScalarReplayIsByteIdentical) {
     // every batch kernel for its scalar reference, and the sealed-day
     // reports over the same wire capture must stay byte-for-byte
     // identical — the dispatch decision is invisible to every consumer.
+    // So is the shard count: the shards partition the address space and
+    // every report merges exactly, so --shards=1 and --shards=5 print
+    // the same bytes as --shards=2.
     const fs::path capture = corpus_ / "scalar.v6w";
     const run_result synth = run(
         tool("v6synth") + " --wire=" + capture.string() +
         " --scale=0.03 --first=362 --last=368 2>/dev/null");
     ASSERT_EQ(synth.exit_code, 0);
 
-    const std::string replay = tool("v6stream") + " --replay=" +
-                               capture.string() + " --shards=2 2>/dev/null";
-    const run_result dispatched = run(replay);
-    const run_result scalar = run("V6CLASS_FORCE_SCALAR=1 " + replay);
+    const std::string replay =
+        tool("v6stream") + " --replay=" + capture.string() + " --shards=";
+    const run_result dispatched = run(replay + "2 2>/dev/null");
+    const run_result scalar = run("V6CLASS_FORCE_SCALAR=1 " + replay + "2 2>/dev/null");
     ASSERT_EQ(dispatched.exit_code, 0);
     ASSERT_EQ(scalar.exit_code, 0);
     ASSERT_NE(dispatched.output.find("{\"type\":\"day\",\"day\":362,"),
               std::string::npos);
     ASSERT_NE(dispatched.output.find("\"type\":\"final\""), std::string::npos);
     EXPECT_EQ(scalar.output, dispatched.output);
+    for (const char* shards : {"1", "5"}) {
+        const run_result r = run(replay + shards + " 2>/dev/null");
+        ASSERT_EQ(r.exit_code, 0) << "--shards=" << shards;
+        EXPECT_EQ(r.output, dispatched.output) << "--shards=" << shards;
+    }
 }
 
 TEST_F(ToolsTest, MkdbBuildsDbAndStreamEmitsAsnBreakdowns) {

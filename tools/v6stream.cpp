@@ -176,22 +176,13 @@ obs::dashboard_model build_dashboard(const stream_engine& engine,
 
     // Runtime panel: the process-level gauges that /metrics exports but
     // the dashboard never surfaced — which kernel tier is live, how big
-    // the process is, how full the trie arena runs, and whether hardware
-    // counters back the IPC series. Arena numbers come back through the
-    // interning registry (the engine registered them unlabeled).
-    obs::registry& greg = obs::registry::global();
+    // the process is, and whether hardware counters back the IPC series.
     model.runtime.push_back(
         {"simd", std::string(simd::level_name(simd::active_level()))});
     model.runtime.push_back(
         {"rss", obs::dashboard_value(
                     static_cast<double>(obs::process_rss_bytes()) / (1 << 20)) +
                     " MiB"});
-    model.runtime.push_back(
-        {"arena live",
-         std::to_string(greg.get_gauge("v6_trie_arena_live_nodes").value())});
-    model.runtime.push_back(
-        {"arena free",
-         std::to_string(greg.get_gauge("v6_trie_arena_free_slots").value())});
     const obs::pmu::availability& pa = obs::pmu::available();
     model.runtime.push_back(
         {"pmu", pa.hardware()
