@@ -1,11 +1,15 @@
 // micro_stream_ingest — throughput of the streaming ingest engine:
 // records/sec pushed through the full pipeline (staging, batching,
-// shard queues, worker threads, day seals) at 1 vs 4 shards, plus the
-// bounded-queue hot path in isolation.
+// shard queues, worker threads, day seals) at 1 vs 4 shards, the
+// bounded-queue hot path in isolation, and the cost of one seal plus
+// its day report as history grows. The tracked claim (BENCH_stream.json,
+// gated by scripts/check.sh): seal and report are O(day) — the per-seal
+// time of BM_stream_seal_history is flat from 4 to 16 days of history.
 #include <benchmark/benchmark.h>
 
 #include <vector>
 
+#include "bench_gbench.h"
 #include "v6class/netgen/rng.h"
 #include "v6class/stream/bounded_queue.h"
 #include "v6class/stream/engine.h"
@@ -75,6 +79,52 @@ BENCHMARK(BM_stream_ingest_with_snapshots)
     ->Arg(4)
     ->Unit(benchmark::kMillisecond);
 
+// A feed where every day brings `fresh` first sightings scattered over
+// 65536 /64s, plus as many returning addresses: history grows by the
+// same amount each day.
+std::vector<stream_record> make_growing_feed(std::size_t fresh, int days,
+                                             std::uint64_t seed) {
+    rng r{seed};
+    std::vector<address> seen;
+    std::vector<stream_record> feed;
+    feed.reserve(2 * fresh * static_cast<std::size_t>(days));
+    for (int d = 0; d < days; ++d) {
+        for (std::size_t i = 0; i < fresh && !seen.empty(); ++i)
+            feed.push_back({d, seen[r.uniform(seen.size())], 1});
+        for (std::size_t i = 0; i < fresh; ++i) {
+            const std::uint64_t hi = 0x20010db800000000ull | r.uniform(1u << 16);
+            seen.push_back(address::from_pair(hi, r()));
+            feed.push_back({d, seen.back(), 1 + r.uniform(4)});
+        }
+    }
+    return feed;
+}
+
+// Arg(0): days of history. Items are seals; each iteration replays the
+// whole feed and waits for every day report, so with O(day) seal and
+// report work the per-seal time stays flat as history grows 4 -> 16
+// days, and O(history) work shows as a growing per-seal time. A +-1 day
+// stability window classifies from the second day on at any history
+// length. Wall clock: the seals run on the engine's roll thread.
+void BM_stream_seal_history(benchmark::State& state) {
+    const int days = static_cast<int>(state.range(0));
+    const auto feed = make_growing_feed(20000, days, 7);
+    stream_config cfg;
+    cfg.window = {1, 1, 0};
+    for (auto _ : state) {
+        stream_engine engine(cfg);
+        for (const stream_record& rec : feed) engine.push(rec);
+        engine.finish();
+        benchmark::DoNotOptimize(engine.latest_report());
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(days) * state.iterations());
+}
+BENCHMARK(BM_stream_seal_history)
+    ->Arg(4)
+    ->Arg(16)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
+
 void BM_bounded_queue_roundtrip(benchmark::State& state) {
     bounded_queue<int> q(64);
     for (auto _ : state) {
@@ -87,4 +137,6 @@ BENCHMARK(BM_bounded_queue_roundtrip);
 
 }  // namespace
 
-BENCHMARK_MAIN();
+int main(int argc, char** argv) {
+    return v6::bench::run_gbench_main(argc, argv, "BENCH_stream.json");
+}

@@ -13,7 +13,8 @@ class registry;
 /// Linux). Returns 0 where unavailable.
 std::uint64_t process_rss_bytes();
 
-/// Samples process-level gauges (v6_process_rss_bytes) into `reg`.
+/// Samples process-level series (v6_process_rss_bytes, the PMU gauges,
+/// v6_trace_dropped_spans_total) into `reg`.
 /// Called at day seals and metric dumps; one file read, no allocation
 /// on the metrics path.
 void update_process_gauges(registry& reg);

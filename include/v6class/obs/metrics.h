@@ -93,6 +93,16 @@ public:
         if (s_) s_->value.fetch_add(static_cast<std::int64_t>(n),
                                     std::memory_order_relaxed);
     }
+    /// Advances the count to `total` if that is higher — a counter that
+    /// mirrors a running total kept elsewhere, race-free between callers.
+    void max_of(std::uint64_t total) const noexcept {
+        if (!s_) return;
+        const auto v = static_cast<std::int64_t>(total);
+        std::int64_t cur = s_->value.load(std::memory_order_relaxed);
+        while (cur < v && !s_->value.compare_exchange_weak(
+                              cur, v, std::memory_order_relaxed)) {
+        }
+    }
     std::uint64_t value() const noexcept {
         return s_ ? static_cast<std::uint64_t>(
                         s_->value.load(std::memory_order_relaxed))

@@ -21,6 +21,14 @@ struct density_row {
     long double address_density = 0;       ///< covered / possible
 };
 
+/// The two counts a Table-3 row derives from, kept current as a distinct
+/// set grows: how many /p prefixes hold at least n of its addresses, and
+/// how many of its addresses those prefixes hold.
+struct density_count {
+    std::uint64_t dense = 0;
+    std::uint64_t covered = 0;
+};
+
 /// Evaluates the class n@/p over a tree built from the dataset's distinct
 /// addresses (each added once at /128).
 density_row compute_density_class(const radix_tree& tree, std::uint64_t n, unsigned p);
@@ -32,10 +40,18 @@ std::vector<density_row> compute_density_table(
 
 /// Same rows from the dataset's distinct addresses, each listed once, by
 /// the paper's footnote-3 sort (dense_prefixes_by_sort) — no trie. The
-/// stream engine's path: it keeps its distinct set sorted.
+/// stream engine answers classes it keeps no counts for this way, over
+/// its sorted run.
 std::vector<density_row> compute_density_table(
     const std::vector<address>& sorted_unique,
     const std::vector<std::pair<std::uint64_t, unsigned>>& classes);
+
+/// Same rows from running counts, counts[i] holding classes[i]'s — the
+/// stream engine's configured classes. Every overload derives the other
+/// fields with one row computation, so they agree to the last bit.
+std::vector<density_row> compute_density_table(
+    const std::vector<std::pair<std::uint64_t, unsigned>>& classes,
+    const std::vector<density_count>& counts);
 
 /// The addresses of `candidates` that fall inside any of the (sorted,
 /// non-overlapping) dense prefixes. Used to count covered WWW client /

@@ -52,6 +52,13 @@ mra_series compute_mra(std::vector<address> addrs);
 /// Same, for input already sorted and deduplicated. O(N).
 mra_series compute_mra_sorted(const std::vector<address>& sorted_unique);
 
+/// From the set's split histogram, kept current elsewhere: hist[c] =
+/// adjacent sorted pairs with common prefix length c, as
+/// compute_mra_sorted counts them — the stream engine updates one as its
+/// distinct set grows. O(1).
+mra_series compute_mra_from_histogram(const std::array<std::uint64_t, 129>& hist,
+                                      bool empty);
+
 /// Trie-backed computation: n_p = 1 + (splits above depth p). The tree
 /// must have been built by adding full /128 addresses (duplicates fine).
 /// Cross-checks the sorted-array path; useful when a trie already exists.

@@ -11,22 +11,26 @@
 // When the pusher observes a day boundary it broadcasts a seal marker
 // behind the last batch of the finished day.
 // A single roll thread applies each seal across all shards behind an
-// exclusive state lock — the only writer of sealed state — advances the
-// epoch, releases the workers, and then *asynchronously* recomputes the
-// day's report (windowed nd-stable split, n@/p density table) under a
-// shared lock while ingest of the next day proceeds.
+// exclusive state lock — the only writer of sealed state, including the
+// sorted run and its running counts — advances the epoch, releases the
+// workers, and then *asynchronously* builds the day's report (windowed
+// nd-stable split; density rows and MRA ratios read off the counts)
+// under a shared lock while ingest of the next day proceeds.
 //
 // Consistency model: "epoch" is the last day sealed across every shard.
 // Queries take the state lock in shared mode and therefore always see
 // a whole number of days — never a half-rolled one. Per-address answers
 // (distinct counts, spectra, stability) merge exactly across shards
-// because the shards partition the address space; prefix-density and
-// MRA answers are computed under the lock from one sorted copy of the
-// shards' observation-store keys (their one copy of the distinct set):
-// n@/p density by counting runs of equal /p prefixes, MRA aggregate
-// counts from the common-prefix lengths of sorted neighbours.
+// because the shards partition the address space. Prefix-density and
+// MRA answers come from sealed state the seal keeps current in O(day):
+// the distinct set of every sealed day as one cumulative sorted run,
+// the histogram of common-prefix lengths between its neighbours (MRA
+// aggregate counts), and per configured n@/p class the dense-prefix and
+// covered-address counts. Each seal folds only the day's first
+// sightings into them; no report or query re-sorts history.
 #pragma once
 
+#include <array>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
@@ -253,14 +257,17 @@ public:
     /// Lifetime spectrum (span >= n) over all sealed days.
     std::vector<std::uint64_t> stability_spectrum(unsigned max_n) const;
 
-    /// Table-3 rows over the distinct addresses of all sealed days.
+    /// Table-3 rows over the distinct addresses of all sealed days:
+    /// configured classes from their running counts, any other class by
+    /// one footnote-3 pass over the sorted run.
     std::vector<density_row> density_table(
         const std::vector<std::pair<std::uint64_t, unsigned>>& classes) const;
 
-    /// Distinct addresses of all sealed days, sorted.
+    /// Distinct addresses of all sealed days, sorted (a copy of the run).
     std::vector<address> distinct_addresses() const;
 
-    /// MRA aggregate counts/ratios over the distinct addresses.
+    /// MRA aggregate counts/ratios over the distinct addresses, from
+    /// the running common-prefix-length histogram.
     mra_series mra() const;
 
     /// The live derived series (ring histories, drift flags) plus the
@@ -298,8 +305,12 @@ private:
     void flush_shard_locked(unsigned shard);   // push_mutex_ held
     void broadcast_seal_locked(int day);       // push_mutex_ held
     day_report build_report(int day) const;    // takes state_mutex_ shared
-    // state_mutex_ held (any mode): the shards' distinct /128s, sorted.
-    std::vector<address> sorted_distinct_locked() const;
+    /// state_mutex_ held exclusively, shards just sealed: gathers the
+    /// day's first sightings — each shard's store keys past its
+    /// pre-seal count `seen[i]` — sorts them, folds them into the cpl
+    /// histogram and the density counts, then merges them into the run
+    /// in place.
+    void merge_run(const std::vector<std::size_t>& seen);
     void init_metrics();
     void init_live();
 
@@ -435,6 +446,15 @@ private:
     mutable std::shared_mutex state_mutex_;
     int sealed_day_ = kNoDay;
     observation_store projected_store_;
+    // The distinct /128s of every sealed day as one sorted run, plus the
+    // running summaries reports and queries read instead of re-sorting
+    // it: cpl_hist_[c] counts adjacent run pairs whose common prefix
+    // length is c (the MRA split histogram), and density_counts_[i]
+    // holds configured class i's dense-prefix and covered-address
+    // counts. All three change only at seal (merge_run).
+    simd::address_block run_{0};
+    std::array<std::uint64_t, 129> cpl_hist_{};
+    std::vector<density_count> density_counts_;  // per cfg_.density_classes
 
     // Emitted reports.
     mutable std::mutex reports_mutex_;

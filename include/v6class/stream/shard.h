@@ -5,11 +5,12 @@
 // what makes the per-address analyses (distinct counts, stability,
 // lifetime spectra) exactly mergeable: summing per-shard answers equals
 // the unsharded answer. Anything keyed by a *coarser* unit straddles
-// shards — prefix density and MRA are answered from one sorted copy of
-// every shard's observation-store keys, and the projected (/64)
-// observation store lives in the engine, fed at seal time — because two
-// addresses of one /64 routinely hash to different shards, so per-shard
-// projected counts would double-count.
+// shards — prefix density and MRA are answered from the engine's one
+// cumulative sorted run of every shard's first sightings, and the
+// projected (/64) observation store lives in the engine, fed the
+// shards' sealed lanes at seal time — because two addresses of one /64
+// routinely hash to different shards, so per-shard projected counts
+// would double-count.
 //
 // State is SoA end to end: the open day stages as address_block lanes,
 // and the flat /128 observation store is the shard's only copy of its
@@ -40,17 +41,18 @@ public:
     void buffer(const simd::address_block& batch) { pending_.append(batch); }
 
     /// Seals `day`: sorts and dedupes everything staged since the last
-    /// seal in place, then folds it into the observation store and the
-    /// daily series. Staged lanes all belong to `day` (the engine
-    /// broadcasts a seal marker before any newer-day record is
-    /// enqueued).
-    void seal_day(int day);
+    /// seal in place, folds it into the observation store and the daily
+    /// series, and appends the sealed lanes to `sealed` (the engine's
+    /// day union for its projected store). Staged lanes all belong to
+    /// `day` (the engine broadcasts a seal marker before any newer-day
+    /// record is enqueued). The store's keys past its pre-seal
+    /// distinct_addresses() are the day's first sightings, sorted.
+    void seal_day(int day, simd::address_block& sealed);
 
     // ----- sealed-state queries (epoch-consistent under the engine) ----
 
     std::size_t distinct_addresses() const noexcept { return store128_.distinct_count(); }
 
-    const daily_series& series() const noexcept { return series_; }
     const observation_store& store() const noexcept { return store128_; }
 
     /// This shard's slice of the windowed nd-stable split for `ref_day`.

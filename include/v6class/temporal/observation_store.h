@@ -47,9 +47,11 @@ public:
     /// Number of distinct addresses (or prefixes) ever seen.
     std::size_t distinct_count() const noexcept { return recs_.size(); }
 
-    /// Appends every distinct key (address, or masked prefix base) to
-    /// `out`'s lanes, in first-sighting order.
-    void append_keys(simd::address_block& out) const;
+    /// Appends the distinct keys (address, or masked prefix base) from
+    /// the `from`-th sighting on to `out`'s lanes, in first-sighting
+    /// order. Keys past a distinct_count() taken before record_day are
+    /// that day's first sightings, in the order of its input.
+    void append_keys(simd::address_block& out, std::size_t from) const;
 
     /// Days on which `a` was active (0 when never seen).
     unsigned days_seen(const address& a) const noexcept;

@@ -24,7 +24,9 @@ Two gates run over benchmarks present on both sides:
          code-quality regression — a kernel falling off its vector
          path, a new dependent chain — even when the time gate's
          generous headroom still passes. Benchmarks missing IPC on
-         either side (no hardware PMU there) are simply not IPC-gated.
+         either side (no hardware PMU there) are simply not IPC-gated;
+         when none carries it on both, the gate prints that it is
+         inactive.
 
 Benchmarks only present on one side are reported but never fail the
 gate (they are new, removed, or renamed — the refreshed baseline picks
@@ -148,6 +150,8 @@ def main(argv):
     ipc_rows = {b: (base_ipc[b], fresh_ipc[b])
                 for b in shared if b in base_ipc and b in fresh_ipc}
     print_table(rows, ipc_rows)
+    if not ipc_rows:
+        print("bench gate: IPC gate inactive (no baseline IPC)")
 
     slow = []
     for bench, b, f, ratio in rows:

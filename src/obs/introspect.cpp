@@ -4,6 +4,7 @@
 
 #include "v6class/obs/metrics.h"
 #include "v6class/obs/pmu.h"
+#include "v6class/obs/trace.h"
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <unistd.h>
@@ -36,6 +37,12 @@ void update_process_gauges(registry& reg) {
     // Hardware-counter availability and per-site derived rates ride
     // the same cadence so /metrics and dumps always carry them.
     pmu::export_gauges(reg);
+    // Trace spans lost to ring wraparound, so a trace that looks thin
+    // says why.
+    reg.get_counter("v6_trace_dropped_spans_total", {},
+                    "Trace spans overwritten by per-thread ring wraparound "
+                    "before any export read them.")
+        .max_of(tracer::dropped());
 }
 
 }  // namespace v6::obs

@@ -10,15 +10,14 @@ namespace v6 {
 
 namespace {
 
-/// One Table-3 row from a class's dense prefixes — the row arithmetic
-/// both the trie and the sorted-set overloads share.
-density_row make_row(std::uint64_t n, unsigned p,
-                     const std::vector<dense_prefix>& dense) {
+/// One Table-3 row from a class's two counts — every overload's rows.
+density_row make_row(std::uint64_t n, unsigned p, std::uint64_t dense,
+                     std::uint64_t covered) {
     density_row row;
     row.n = n;
     row.p = p;
-    row.dense_prefix_count = dense.size();
-    for (const dense_prefix& d : dense) row.covered_addresses += d.observed;
+    row.dense_prefix_count = dense;
+    row.covered_addresses = covered;
     row.possible_addresses =
         static_cast<long double>(row.dense_prefix_count) *
         std::ldexp(1.0L, static_cast<int>(128 - p));
@@ -29,6 +28,21 @@ density_row make_row(std::uint64_t n, unsigned p,
     return row;
 }
 
+density_row make_row(std::uint64_t n, unsigned p,
+                     const std::vector<dense_prefix>& dense) {
+    std::uint64_t covered = 0;
+    for (const dense_prefix& d : dense) covered += d.observed;
+    return make_row(n, p, dense.size(), covered);
+}
+
+const obs::histogram& density_phase_histogram() {
+    static const obs::histogram phase = obs::registry::global().get_histogram(
+        "v6_spatial_density_table_seconds", obs::latency_buckets(), {},
+        "Time to compute every configured n@/p density class over a "
+        "distinct address set.");
+    return phase;
+}
+
 /// Evaluates every class with `dense_at(n, p)`. Classes are independent
 /// reads of one immutable input; fan them out and keep the rows in class
 /// order (slot per index → deterministic).
@@ -36,11 +50,7 @@ template <class DenseAt>
 std::vector<density_row> density_table(
     const std::vector<std::pair<std::uint64_t, unsigned>>& classes,
     DenseAt&& dense_at) {
-    static const obs::histogram phase = obs::registry::global().get_histogram(
-        "v6_spatial_density_table_seconds", obs::latency_buckets(), {},
-        "Time to compute every configured n@/p density class over a "
-        "distinct address set.");
-    const obs::trace_scope span("density_table", phase);
+    const obs::trace_scope span("density_table", density_phase_histogram());
     return par::map_indexed<density_row>(classes.size(), [&](std::size_t i) {
         const auto [n, p] = classes[i];
         return make_row(n, p, dense_at(n, p));
@@ -67,6 +77,18 @@ std::vector<density_row> compute_density_table(
     return density_table(classes, [&](std::uint64_t n, unsigned p) {
         return dense_prefixes_by_sort(sorted_unique, n, p);
     });
+}
+
+std::vector<density_row> compute_density_table(
+    const std::vector<std::pair<std::uint64_t, unsigned>>& classes,
+    const std::vector<density_count>& counts) {
+    const obs::trace_scope span("density_table", density_phase_histogram());
+    std::vector<density_row> rows;
+    rows.reserve(classes.size());
+    for (std::size_t i = 0; i < classes.size(); ++i)
+        rows.push_back(make_row(classes[i].first, classes[i].second,
+                                counts[i].dense, counts[i].covered));
+    return rows;
 }
 
 std::vector<address> addresses_covered(const std::vector<dense_prefix>& dense,

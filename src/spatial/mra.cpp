@@ -85,6 +85,12 @@ mra_series compute_mra(std::vector<address> addrs) {
     return from_split_histogram(hist, n == 0);
 }
 
+mra_series compute_mra_from_histogram(const std::array<std::uint64_t, 129>& hist,
+                                      bool empty) {
+    const obs::trace_scope span("mra", mra_phase_histogram());
+    return from_split_histogram(hist, empty);
+}
+
 mra_series compute_mra_from_trie(const radix_tree& tree) {
     const obs::trace_scope span("mra_from_trie", mra_phase_histogram());
     std::array<std::uint64_t, 129> hist{};

@@ -1,6 +1,9 @@
 #include "v6class/stream/engine.h"
 
 #include <algorithm>
+#include <bit>
+#include <cstring>
+#include <tuple>
 #include <utility>
 
 #include "v6class/obs/introspect.h"
@@ -34,6 +37,50 @@ inline lane_hashes fnv1a_lanes(std::uint64_t hi, std::uint64_t lo) noexcept {
     for (int i = 0; i < 8; ++i) h = (h ^ ((lo >> (56 - 8 * i)) & 0xff)) * kPrime;
     out.p128 = h;
     return out;
+}
+
+/// Common prefix length of two addresses given as (hi, lo) lanes —
+/// address::common_prefix_length on the lane representation.
+inline unsigned lane_cpl(std::uint64_t ahi, std::uint64_t alo,
+                         std::uint64_t bhi, std::uint64_t blo) noexcept {
+    if (ahi != bhi) return static_cast<unsigned>(std::countl_zero(ahi ^ bhi));
+    if (alo != blo)
+        return 64 + static_cast<unsigned>(std::countl_zero(alo ^ blo));
+    return 128;
+}
+
+/// First index in [from, n) of the sorted lanes whose address is not
+/// below (hi, lo). Galloping from `from`: a sorted sequence of probes
+/// costs O(log gap) each instead of O(log n).
+std::size_t gallop_lower_bound(const std::uint64_t* his,
+                               const std::uint64_t* los, std::size_t from,
+                               std::size_t n, std::uint64_t hi,
+                               std::uint64_t lo) noexcept {
+    const auto below = [&](std::size_t k) {
+        return his[k] < hi || (his[k] == hi && los[k] < lo);
+    };
+    std::size_t first = from, last = from, step = 1;
+    while (last < n && below(last)) {
+        first = last + 1;
+        last += step;
+        step *= 2;
+    }
+    last = std::min(last, n);
+    while (first < last) {
+        const std::size_t mid = first + (last - first) / 2;
+        if (below(mid))
+            first = mid + 1;
+        else
+            last = mid;
+    }
+    return first;
+}
+
+/// The (hi, lo) lane masks of a /p prefix.
+inline std::pair<std::uint64_t, std::uint64_t> prefix_masks(unsigned p) noexcept {
+    const std::uint64_t hi = p >= 64 ? ~0ull : p == 0 ? 0 : ~0ull << (64 - p);
+    const std::uint64_t lo = p >= 128 ? ~0ull : p <= 64 ? 0 : ~0ull << (128 - p);
+    return {hi, lo};
 }
 
 }  // namespace
@@ -204,6 +251,7 @@ stream_engine::stream_engine(stream_config cfg)
     queues_.reserve(cfg_.shards);
     staging_.reserve(cfg_.shards);
     drained_day_.assign(cfg_.shards, kNoDay);
+    density_counts_.resize(cfg_.density_classes.size());
     for (unsigned i = 0; i < cfg_.shards; ++i) {
         staging_.emplace_back(cfg_.batch_size);
         shards_.push_back(std::make_unique<stream_shard>());
@@ -442,24 +490,23 @@ void stream_engine::roll_loop() {
             // already-drained shards can stall behind a seal.
             obs::trace_scope span("seal_day", m_.seal_latency);
             std::unique_lock state(state_mutex_);
-            for (auto& s : shards_) {
+            // Each shard's store keys past its pre-seal count are the
+            // day's first sightings; the shards' sealed lanes together
+            // are the day's union for the projected (/64) store, which
+            // is engine-level (see engine.h).
+            std::vector<std::size_t> seen(shards_.size());
+            simd::address_block active(0);
+            for (std::size_t i = 0; i < shards_.size(); ++i) {
                 obs::span shard_span("shard.seal");
                 obs::pmu_scope shard_pmu("shard.seal");
-                s->seal_day(day);
-            }
-            // The projected (/64) store is engine-level (see engine.h);
-            // feed it the day's union of freshly sealed shard sets.
-            std::vector<address> active;
-            for (const auto& s : shards_) {
-                const std::vector<address>& day_set = s->series().day(day);
-                active.insert(active.end(), day_set.begin(), day_set.end());
+                seen[i] = shards_[i]->distinct_addresses();
+                shards_[i]->seal_day(day, active);
             }
             projected_store_.record_day(day, active);
+            merge_run(seen);
             if (cfg_.sketches) merge_day_sketches();
             sealed_day_ = day;
-            std::size_t distinct = 0;
-            for (const auto& s : shards_) distinct += s->distinct_addresses();
-            m_.distinct_addresses.set(static_cast<std::int64_t>(distinct));
+            m_.distinct_addresses.set(static_cast<std::int64_t>(run_.size()));
             m_.distinct_projected.set(
                 static_cast<std::int64_t>(projected_store_.distinct_count()));
         }
@@ -553,12 +600,10 @@ day_report stream_engine::build_report(int day) const {
     }
     report.distinct_projected = projected_store_.distinct_count();
     report.active = report.stable + report.not_stable;
-    // Density and the live MRA ratios around the /64 boundary both come
-    // from one sorted copy of the distinct set (footnote-3 runs, adjacent
-    // common-prefix lengths).
-    const std::vector<address> distinct = sorted_distinct_locked();
-    report.density = compute_density_table(distinct, cfg_.density_classes);
-    const mra_series mra = compute_mra_sorted(distinct);
+    // Density and the live MRA ratios around the /64 boundary are read
+    // off the running counts the seal keeps (see merge_run).
+    report.density = compute_density_table(cfg_.density_classes, density_counts_);
+    const mra_series mra = compute_mra_from_histogram(cpl_hist_, run_.empty());
     report.gamma1 = mra.ratio(64, 1);
     report.gamma4 = mra.ratio(60, 4);
     report.gamma16 = mra.ratio(48, 16);
@@ -709,17 +754,105 @@ int stream_engine::sealed_day() const {
     return sealed_day_;
 }
 
-std::vector<address> stream_engine::sorted_distinct_locked() const {
-    // The shards partition the /128 space by address hash, so their
-    // observation-store keys concatenate without overlap: collect the
-    // lanes and radix-sort them once.
-    obs::span span("merge_distinct", obs::span_kind::merge);
-    std::size_t total = 0;
-    for (const auto& s : shards_) total += s->distinct_addresses();
-    simd::address_block keys(total);
-    for (const auto& s : shards_) s->store().append_keys(keys);
-    simd::sort_block(keys);
-    return keys.to_vector();
+void stream_engine::merge_run(const std::vector<std::size_t>& seen) {
+    obs::span span("merge_run", obs::span_kind::merge);
+    // Shards partition the /128s, so their tails are disjoint from each
+    // other and from the run: sorting them is O(day).
+    simd::address_block fresh(0);
+    for (std::size_t i = 0; i < shards_.size(); ++i)
+        shards_[i]->store().append_keys(fresh, seen[i]);
+    simd::sort_block(fresh);
+    const std::size_t n = run_.size();
+    const std::size_t m = fresh.size();
+    if (m == 0) return;
+    const std::uint64_t* rh = run_.hi();
+    const std::uint64_t* rl = run_.lo();
+    const std::uint64_t* fh = fresh.hi();
+    const std::uint64_t* fl = fresh.lo();
+
+    // One forward sweep over the new keys finds each one's insertion
+    // point in the old run (galloping: they are sorted) and updates the
+    // summaries while the run's lines around it are still in cache.
+    //
+    // MRA: the new keys landing between old neighbours a and b form one
+    // group x1..xk; the pair (a, b) stops being adjacent and (a, x1),
+    // each (xi, xi+1) and (xk, b) start — where a and b exist.
+    //
+    // Density: per class n@/p, a /p group of m' new keys spans the old
+    // run from x1's insertion point to xk's, all inside the prefix; its
+    // g old members are those plus the prefix's neighbours on either
+    // side, counted only up to n. A prefix already dense gains m'
+    // covered addresses; one that crosses n becomes dense with all
+    // g + m' of them.
+    std::vector<std::size_t> at(m);
+    struct class_scan {
+        std::uint64_t mh = 0, ml = 0;
+        std::size_t first = 0;  // the open /p group's first new key
+    };
+    std::vector<class_scan> scans(cfg_.density_classes.size());
+    for (std::size_t c = 0; c < scans.size(); ++c)
+        std::tie(scans[c].mh, scans[c].ml) =
+            prefix_masks(cfg_.density_classes[c].second);
+    const auto close_group = [&](std::size_t c, std::size_t last) {
+        const std::uint64_t need = cfg_.density_classes[c].first;
+        if (need == 0) return;  // no prefix qualifies (as the sort path)
+        const class_scan& sc = scans[c];
+        const std::uint64_t bh = fh[sc.first] & sc.mh, bl = fl[sc.first] & sc.ml;
+        const auto inside = [&](std::size_t k) {
+            return (rh[k] & sc.mh) == bh && (rl[k] & sc.ml) == bl;
+        };
+        std::size_t lo = at[sc.first], hi = at[last];
+        std::uint64_t old = hi - lo;
+        while (lo > 0 && old < need && inside(lo - 1)) --lo, ++old;
+        while (hi < n && old < need && inside(hi)) ++hi, ++old;
+        const std::uint64_t added = last + 1 - sc.first;
+        density_count& count = density_counts_[c];
+        if (old >= need) {
+            count.covered += added;
+        } else if (old + added >= need) {
+            ++count.dense;
+            count.covered += old + added;
+        }
+    };
+    for (std::size_t i = 0, from = 0; i < m; ++i) {
+        const std::size_t j = from = at[i] =
+            gallop_lower_bound(rh, rl, from, n, fh[i], fl[i]);
+        if (i > 0 && at[i - 1] == j) {
+            ++cpl_hist_[lane_cpl(fh[i - 1], fl[i - 1], fh[i], fl[i])];
+        } else {
+            if (i > 0 && at[i - 1] < n)  // close the previous group: (xk, b)
+                ++cpl_hist_[lane_cpl(fh[i - 1], fl[i - 1], rh[at[i - 1]], rl[at[i - 1]])];
+            if (j > 0 && j < n) --cpl_hist_[lane_cpl(rh[j - 1], rl[j - 1], rh[j], rl[j])];
+            if (j > 0) ++cpl_hist_[lane_cpl(rh[j - 1], rl[j - 1], fh[i], fl[i])];
+        }
+        for (std::size_t c = 0; i > 0 && c < scans.size(); ++c) {
+            class_scan& sc = scans[c];
+            if (((fh[i] ^ fh[sc.first]) & sc.mh) == 0 &&
+                ((fl[i] ^ fl[sc.first]) & sc.ml) == 0)
+                continue;
+            close_group(c, i - 1);
+            sc.first = i;
+        }
+    }
+    if (at[m - 1] < n)
+        ++cpl_hist_[lane_cpl(fh[m - 1], fl[m - 1], rh[at[m - 1]], rl[at[m - 1]])];
+    for (std::size_t c = 0; c < scans.size(); ++c) close_group(c, m - 1);
+
+    // Merge in place from the back: each old element moves right by the
+    // number of new keys below it, so walking the new keys downward
+    // shifts every old segment once, then drops the key into its gap.
+    run_.resize(n + m);
+    std::uint64_t* wh = run_.hi();
+    std::uint64_t* wl = run_.lo();
+    std::size_t end = n;
+    for (std::size_t i = m; i-- > 0;) {
+        const std::size_t j = at[i];
+        std::memmove(wh + j + i + 1, wh + j, (end - j) * sizeof(std::uint64_t));
+        std::memmove(wl + j + i + 1, wl + j, (end - j) * sizeof(std::uint64_t));
+        wh[j + i] = fh[i];
+        wl[j + i] = fl[i];
+        end = j;
+    }
 }
 
 stream_snapshot stream_engine::snapshot() const {
@@ -741,7 +874,7 @@ stream_snapshot stream_engine::snapshot() const {
     }
     out.distinct_projected = projected_store_.distinct_count();
     out.spectrum = std::move(merged_spectrum);
-    out.density = compute_density_table(sorted_distinct_locked(), cfg_.density_classes);
+    out.density = compute_density_table(cfg_.density_classes, density_counts_);
     return out;
 }
 
@@ -780,16 +913,34 @@ std::vector<std::uint64_t> stream_engine::stability_spectrum(unsigned max_n) con
 std::vector<density_row> stream_engine::density_table(
     const std::vector<std::pair<std::uint64_t, unsigned>>& classes) const {
     std::shared_lock state(state_mutex_);
-    return compute_density_table(sorted_distinct_locked(), classes);
+    // Configured classes are kept current at seal; any other class is a
+    // footnote-3 pass over the run, which is already sorted.
+    const std::vector<density_row> configured =
+        compute_density_table(cfg_.density_classes, density_counts_);
+    std::vector<address> distinct;  // materialised on first use
+    std::vector<density_row> rows;
+    rows.reserve(classes.size());
+    for (const auto& cls : classes) {
+        const auto it = std::find(cfg_.density_classes.begin(),
+                                  cfg_.density_classes.end(), cls);
+        if (it != cfg_.density_classes.end()) {
+            rows.push_back(configured[it - cfg_.density_classes.begin()]);
+            continue;
+        }
+        if (distinct.empty()) distinct = run_.to_vector();
+        rows.push_back(compute_density_table(distinct, {cls}).front());
+    }
+    return rows;
 }
 
 std::vector<address> stream_engine::distinct_addresses() const {
     std::shared_lock state(state_mutex_);
-    return sorted_distinct_locked();
+    return run_.to_vector();
 }
 
 mra_series stream_engine::mra() const {
-    return compute_mra_sorted(distinct_addresses());
+    std::shared_lock state(state_mutex_);
+    return compute_mra_from_histogram(cpl_hist_, run_.empty());
 }
 
 std::vector<day_report> stream_engine::reports() const {

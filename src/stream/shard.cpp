@@ -4,7 +4,7 @@
 
 namespace v6 {
 
-void stream_shard::seal_day(int day) {
+void stream_shard::seal_day(int day, simd::address_block& sealed) {
     if (pending_.empty()) return;  // a day with no records for this shard
 
     // Sort + dedupe the staged lanes in place (radix-partitioned on the
@@ -13,6 +13,7 @@ void stream_shard::seal_day(int day) {
     simd::sort_unique_block(pending_);
     store128_.record_day(day, pending_);
     series_.set_day(day, pending_.to_vector());
+    sealed.append(pending_);
     pending_.clear();
 }
 

@@ -181,9 +181,10 @@ void observation_store::record_day(int day, const simd::address_block& active) {
     }
 }
 
-void observation_store::append_keys(simd::address_block& out) const {
-    out.reserve(out.size() + key_hi_.size());
-    for (std::size_t i = 0; i < key_hi_.size(); ++i)
+void observation_store::append_keys(simd::address_block& out,
+                                    std::size_t from) const {
+    out.reserve(out.size() + key_hi_.size() - std::min(from, key_hi_.size()));
+    for (std::size_t i = from; i < key_hi_.size(); ++i)
         out.push_back(key_hi_[i], key_lo_[i]);
 }
 

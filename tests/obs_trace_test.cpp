@@ -12,6 +12,8 @@
 #include <vector>
 
 #include "json_lite.h"
+#include "v6class/obs/introspect.h"
+#include "v6class/obs/metrics.h"
 #include "v6class/obs/profile.h"
 #include "v6class/obs/trace.h"
 #include "v6class/par/pool.h"
@@ -146,6 +148,38 @@ TEST_F(ObsTracerTest, RingWraparoundCountsDropped) {
     obs::tracer::reset();
     EXPECT_EQ(obs::tracer::dropped(), 0u);
     EXPECT_TRUE(obs::tracer::snapshot().empty());
+}
+
+TEST_F(ObsTracerTest, DroppedSpansAreExportedAsACounter) {
+    obs::tracer::enable();
+    const std::size_t extra = 37;  // wraps this thread's ring
+    for (std::size_t i = 0; i < obs::tracer::ring_capacity + extra; ++i)
+        obs::tracer::emit("wrap", obs::span_kind::run,
+                          {0, obs::tracer::next_id()}, 0, i, 1);
+    const std::uint64_t dropped = obs::tracer::dropped();
+    ASSERT_EQ(dropped, extra);
+
+    obs::registry reg;
+    obs::update_process_gauges(reg);
+    const std::string text = reg.prometheus_text();
+    EXPECT_NE(text.find("# TYPE v6_trace_dropped_spans_total counter\n"),
+              std::string::npos)
+        << text;
+    EXPECT_NE(text.find("\nv6_trace_dropped_spans_total " +
+                        std::to_string(dropped) + "\n"),
+              std::string::npos)
+        << text;
+
+    // A later sample follows the running total; it never moves back.
+    obs::tracer::emit("wrap", obs::span_kind::run,
+                      {0, obs::tracer::next_id()}, 0, 0, 1);
+    obs::update_process_gauges(reg);
+    EXPECT_EQ(reg.get_counter("v6_trace_dropped_spans_total").value(),
+              dropped + 1);
+    obs::tracer::reset();
+    obs::update_process_gauges(reg);
+    EXPECT_EQ(reg.get_counter("v6_trace_dropped_spans_total").value(),
+              dropped + 1);
 }
 
 TEST_F(ObsTracerTest, ConcurrentEmitAndSnapshot) {

@@ -141,6 +141,23 @@ TEST(ObservationStoreTest, PrefixProjection) {
     EXPECT_EQ(store.days_seen(address::from_pair(0xaa, 99)), 1u);
 }
 
+TEST(ObservationStoreTest, KeysPastAPreviousCountAreTheDaysFirstSightings) {
+    observation_store store;
+    store.record_day(10, {nth(4), nth(2)});
+    const std::size_t before = store.distinct_count();
+    store.record_day(11, {nth(1), nth(2), nth(3), nth(4)});
+    simd::address_block tail(0);
+    store.append_keys(tail, before);
+    EXPECT_EQ(tail.to_vector(), (std::vector<address>{nth(1), nth(3)}));
+    simd::address_block all(0);
+    store.append_keys(all, 0);
+    EXPECT_EQ(all.to_vector(),
+              (std::vector<address>{nth(4), nth(2), nth(1), nth(3)}));
+    simd::address_block none(0);
+    store.append_keys(none, store.distinct_count());
+    EXPECT_TRUE(none.empty());
+}
+
 TEST(ObservationStoreTest, SpectrumIsMonotoneAndAnchored) {
     observation_store store;
     rng r{50};

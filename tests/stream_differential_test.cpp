@@ -1,10 +1,17 @@
-// Batch-vs-stream differential: replaying a >=100k-record feed through
-// the streaming engine must reproduce the batch pipeline's answers
-// *exactly* — same stability split, same lifetime spectrum, same Table-3
-// density rows, same distinct set, same MRA counts, and in every day
-// report the density rows and MRA ratios of the days sealed so far —
-// for any shard count (including the unsharded engine). The reference
-// density and MRA come from a radix_tree; the engine has none.
+// Batch-vs-stream differential: replaying a feed through the streaming
+// engine must reproduce the batch pipeline's answers *exactly* — same
+// stability split, same lifetime spectrum, same Table-3 density rows
+// (configured classes and any other), same distinct set, same MRA
+// counts, and in every day report the density rows and MRA ratios of
+// the days sealed so far — for any shard count (including the unsharded
+// engine). The reference density and MRA come from a radix_tree; the
+// engine keeps running counts over its sorted run instead.
+//
+// Two feeds: a >=100k-record one drawn from a fixed pool (which
+// saturates, so late days add few new addresses), and one whose
+// distinct set grows every day around and inside what is already
+// there, with a day gap and a repeats-only day, so every seal folds
+// fresh keys into the engine's incremental MRA and density updates.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -20,13 +27,23 @@
 namespace v6 {
 namespace {
 
+using class_list = std::vector<std::pair<std::uint64_t, unsigned>>;
+
 constexpr int kFirstDay = 100;
 constexpr int kLastDay = 114;              // 15 days
 constexpr unsigned kRecordsPerDay = 7000;  // 105k records total
 constexpr std::uint64_t kSeed = 20150317;
 
-const std::vector<std::pair<std::uint64_t, unsigned>> kClasses = {
-    {2, 112}, {8, 64}, {2, 48}};
+const class_list kClasses = {{2, 112}, {8, 64}, {2, 48}};
+
+// The growing feed: days 200..211 without day 205, and day 209 carries
+// only addresses seen before. {3, 120} has groups that cross n and
+// groups that keep growing past it.
+constexpr int kGrowFirstDay = 200;
+constexpr int kGrowLastDay = 211;
+constexpr int kGapDay = 205;
+constexpr int kRepeatDay = 209;
+const class_list kGrowClasses = {{1, 64}, {3, 120}, {1, 128}};
 
 // A pool with real spatial structure: 64 /64 networks, 16 /112 blocks
 // each, so the density classes and MRA ratios have something to find.
@@ -54,6 +71,47 @@ std::vector<stream_record> make_feed() {
     return feed;
 }
 
+// Each day: returning addresses, one address below and one above every
+// address seen so far, a burst into eight /64s whose /112s and /120s
+// are already dense (joining, crossing and saturating groups), and a
+// scatter over 4096 sparse /64s that lands between existing neighbours.
+std::vector<stream_record> make_growing_feed() {
+    constexpr std::uint64_t kDense = 0x20010db8000a0000ull;
+    constexpr std::uint64_t kSparse = 0x20010db800500000ull;
+    rng r{kSeed + 1};
+    std::vector<address> seen;
+    std::vector<stream_record> feed;
+    const auto fresh = [&](int day, std::uint64_t hi, std::uint64_t lo) {
+        const address a = address::from_pair(hi, lo);
+        feed.push_back({day, a, 1 + r.uniform(3)});
+        seen.push_back(a);
+    };
+    for (int day = kGrowFirstDay; day <= kGrowLastDay; ++day) {
+        if (day == kGapDay) continue;
+        for (unsigned i = 0; i < 1500 && !seen.empty(); ++i)
+            feed.push_back({day, seen[r.uniform(seen.size())], 1});
+        if (day == kRepeatDay) continue;
+        const auto k = static_cast<std::uint64_t>(day - kGrowFirstDay);
+        fresh(day, 0x20010db800000000ull - 1 - k, r());
+        fresh(day, 0x20010db8ffff0000ull + k, r());
+        for (unsigned i = 0; i < 600; ++i)
+            fresh(day, kDense + r.uniform(8),
+                  (r.uniform(32) << 16) | r.uniform(1024));
+        for (unsigned i = 0; i < 400; ++i)
+            fresh(day, kSparse + r.uniform(4096), r());
+    }
+    return feed;
+}
+
+// The feed's days, ascending.
+std::vector<int> feed_days(const std::vector<stream_record>& feed) {
+    std::vector<int> days;
+    for (const stream_record& rec : feed) days.push_back(rec.day);
+    std::sort(days.begin(), days.end());
+    days.erase(std::unique(days.begin(), days.end()), days.end());
+    return days;
+}
+
 // The reference pipeline: the batch substrate fed whole days at a time.
 struct batch_state {
     daily_series series;
@@ -64,7 +122,7 @@ struct batch_state {
 
     explicit batch_state(const std::vector<stream_record>& feed) {
         std::vector<address> all;
-        for (int day = kFirstDay; day <= kLastDay; ++day) {
+        for (const int day : feed_days(feed)) {
             std::vector<address> active;
             for (const stream_record& rec : feed)
                 if (rec.day == day) active.push_back(rec.addr);
@@ -107,16 +165,18 @@ void expect_same_rows(const std::vector<density_row>& got,
     }
 }
 
-class StreamDifferential : public ::testing::TestWithParam<unsigned> {};
-
-TEST_P(StreamDifferential, StreamReproducesBatchExactly) {
-    const std::vector<stream_record> feed = make_feed();
-    ASSERT_GE(feed.size(), 100000u);
+// Replays `feed` through an engine with `shards` shards and density
+// `classes`, and checks every answer against the batch pipeline —
+// `other` is a density class the engine was not configured with.
+void expect_stream_matches_batch(const std::vector<stream_record>& feed,
+                                 unsigned shards, const class_list& classes,
+                                 std::pair<std::uint64_t, unsigned> other) {
     const batch_state batch(feed);
+    const std::vector<int> days = feed_days(feed);
 
     stream_config cfg;
-    cfg.shards = GetParam();
-    cfg.density_classes = kClasses;
+    cfg.shards = shards;
+    cfg.density_classes = classes;
     stream_engine engine(cfg);
     for (const stream_record& rec : feed) engine.push(rec);
     engine.finish();
@@ -125,7 +185,7 @@ TEST_P(StreamDifferential, StreamReproducesBatchExactly) {
     const stream_stats stats = engine.stats();
     EXPECT_EQ(stats.records, feed.size());
     EXPECT_EQ(stats.late_dropped, 0u);
-    EXPECT_EQ(engine.sealed_day(), kLastDay);
+    EXPECT_EQ(engine.sealed_day(), days.back());
 
     // Distinct sets, at /128 and projected /64.
     EXPECT_EQ(stats.distinct_addresses, batch.store128.distinct_count());
@@ -134,7 +194,7 @@ TEST_P(StreamDifferential, StreamReproducesBatchExactly) {
 
     // Windowed stability splits: byte-identical address vectors.
     const stability_analyzer an(batch.series);
-    for (const int ref : {kFirstDay + 7, kFirstDay + 10})
+    for (const int ref : {days.front() + 7, days.front() + 10})
         for (const unsigned n : {1u, 3u, 7u}) {
             const stability_split want = an.classify_day(ref, n);
             const stability_split got = engine.classify_day(ref, n);
@@ -146,9 +206,14 @@ TEST_P(StreamDifferential, StreamReproducesBatchExactly) {
     // Lifetime spectrum.
     EXPECT_EQ(engine.stability_spectrum(14), batch.store128.stability_spectrum(14));
 
-    // Table-3 density rows, every field.
-    expect_same_rows(engine.density_table(kClasses),
-                     compute_density_table(batch.tree, kClasses), "final");
+    // Table-3 density rows, every field: the configured classes, one
+    // that is not, and the two mixed in one query.
+    expect_same_rows(engine.density_table(classes),
+                     compute_density_table(batch.tree, classes), "final");
+    class_list mixed = {other};
+    mixed.insert(mixed.end(), classes.begin(), classes.end());
+    expect_same_rows(engine.density_table(mixed),
+                     compute_density_table(batch.tree, mixed), "mixed");
 
     // MRA aggregate counts at every prefix length.
     const mra_series want_mra = compute_mra_sorted(batch.distinct);
@@ -160,8 +225,7 @@ TEST_P(StreamDifferential, StreamReproducesBatchExactly) {
     // and their density rows and MRA ratios with the trie over the
     // distinct addresses of the days sealed by then.
     const auto reports = engine.reports();
-    ASSERT_EQ(reports.size(),
-              static_cast<std::size_t>(kLastDay - kFirstDay + 1));
+    ASSERT_EQ(reports.size(), days.size());
     for (const day_report& rep : reports) {
         const std::string at = "day=" + std::to_string(rep.day);
         EXPECT_EQ(rep.ref_day, rep.day - cfg.window.window_fwd);
@@ -171,7 +235,7 @@ TEST_P(StreamDifferential, StreamReproducesBatchExactly) {
         EXPECT_EQ(rep.active, want.stable.size() + want.not_stable.size());
 
         const radix_tree tree = tree_through(feed, rep.day);
-        expect_same_rows(rep.density, compute_density_table(tree, kClasses), at);
+        expect_same_rows(rep.density, compute_density_table(tree, classes), at);
         const mra_series mra = compute_mra_from_trie(tree);
         EXPECT_EQ(rep.gamma1, mra.ratio(64, 1)) << at;
         EXPECT_EQ(rep.gamma4, mra.ratio(60, 4)) << at;
@@ -180,9 +244,53 @@ TEST_P(StreamDifferential, StreamReproducesBatchExactly) {
 
     // And the final snapshot is the whole-feed summary.
     const stream_snapshot snap = engine.snapshot();
-    EXPECT_EQ(snap.epoch, kLastDay);
+    EXPECT_EQ(snap.epoch, days.back());
     EXPECT_EQ(snap.distinct_addresses, batch.distinct.size());
     EXPECT_EQ(snap.spectrum, batch.store128.stability_spectrum(cfg.spectrum_max));
+    expect_same_rows(snap.density, compute_density_table(batch.tree, classes),
+                     "snapshot");
+}
+
+class StreamDifferential : public ::testing::TestWithParam<unsigned> {};
+
+TEST_P(StreamDifferential, StreamReproducesBatchExactly) {
+    const std::vector<stream_record> feed = make_feed();
+    ASSERT_GE(feed.size(), 100000u);
+    expect_stream_matches_batch(feed, GetParam(), kClasses, {3, 120});
+}
+
+TEST_P(StreamDifferential, GrowingFeedReproducesBatchExactly) {
+    const std::vector<stream_record> feed = make_growing_feed();
+
+    // The feed's shape: new addresses on every day but the gap and the
+    // repeats-only day, each day landing one below and one above all
+    // earlier ones.
+    const std::vector<int> days = feed_days(feed);
+    ASSERT_EQ(days.size(), static_cast<std::size_t>(kGrowLastDay - kGrowFirstDay));
+    EXPECT_EQ(std::count(days.begin(), days.end(), kGapDay), 0);
+    std::vector<address> seen;
+    for (const int day : days) {
+        std::vector<address> fresh;
+        for (const stream_record& rec : feed)
+            if (rec.day == day &&
+                !std::binary_search(seen.begin(), seen.end(), rec.addr))
+                fresh.push_back(rec.addr);
+        std::sort(fresh.begin(), fresh.end());
+        fresh.erase(std::unique(fresh.begin(), fresh.end()), fresh.end());
+        if (day == kRepeatDay) {
+            EXPECT_TRUE(fresh.empty());
+            continue;
+        }
+        ASSERT_GT(fresh.size(), 900u) << day;
+        if (!seen.empty()) {
+            EXPECT_LT(fresh.front(), seen.front()) << day;
+            EXPECT_GT(fresh.back(), seen.back()) << day;
+        }
+        seen.insert(seen.end(), fresh.begin(), fresh.end());
+        std::sort(seen.begin(), seen.end());
+    }
+
+    expect_stream_matches_batch(feed, GetParam(), kGrowClasses, {2, 112});
 }
 
 INSTANTIATE_TEST_SUITE_P(ShardCounts, StreamDifferential,
