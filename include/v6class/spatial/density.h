@@ -41,7 +41,7 @@ std::vector<density_row> compute_density_table(
 /// Same rows from the dataset's distinct addresses, each listed once, by
 /// the paper's footnote-3 sort (dense_prefixes_by_sort) — no trie. The
 /// stream engine answers classes it keeps no counts for this way, over
-/// its sorted run.
+/// its shards' sorted runs, merged.
 std::vector<density_row> compute_density_table(
     const std::vector<address>& sorted_unique,
     const std::vector<std::pair<std::uint64_t, unsigned>>& classes);

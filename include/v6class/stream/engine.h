@@ -2,32 +2,36 @@
 // deployment of Section 5.1).
 //
 // Architecture: records pushed into the engine are staged per shard
-// (FNV-1a hash of the address, as address_hash) as SoA address lanes,
-// batched, and handed to one bounded MPSC queue per shard; a worker
-// thread per shard drains its queue, feeds the day sketches from the
-// lanes, and appends them to the shard's open-day block. Lanes are the
-// only ingest currency from the wire decoder to the shard seal;
-// push(stream_record) is a thin adapter onto the same per-lane core.
-// When the pusher observes a day boundary it broadcasts a seal marker
-// behind the last batch of the finished day.
-// A single roll thread applies each seal across all shards behind an
-// exclusive state lock — the only writer of sealed state, including the
-// sorted run and its running counts — advances the epoch, releases the
-// workers, and then *asynchronously* builds the day's report (windowed
-// nd-stable split; density rows and MRA ratios read off the counts)
-// under a shared lock while ingest of the next day proceeds.
+// (FNV-1a hash of the address's /64 prefix, the unit a subscriber or
+// LAN is assigned) as SoA address lanes, batched, and handed to one
+// bounded MPSC queue per shard; a worker thread per shard drains its
+// queue, feeds the day sketches from the lanes, and appends them to
+// the shard's open-day block. Lanes are the only ingest currency from
+// the wire decoder to the shard seal; push(stream_record) is a thin
+// adapter onto the same per-lane core. When the pusher observes a day
+// boundary it broadcasts a seal marker behind the last batch of the
+// finished day.
+// A single roll thread applies each seal behind an exclusive state lock
+// — the only writer of sealed state — by sealing every shard as one
+// task of the v6::par pool, then folding the day's new /64s into the
+// engine-level state; it advances the epoch, releases the workers, and
+// then *asynchronously* builds the day's report (windowed nd-stable
+// split; density rows and MRA ratios read off the counts) under a
+// shared lock while ingest of the next day proceeds.
 //
 // Consistency model: "epoch" is the last day sealed across every shard.
 // Queries take the state lock in shared mode and therefore always see
-// a whole number of days — never a half-rolled one. Per-address answers
-// (distinct counts, spectra, stability) merge exactly across shards
-// because the shards partition the address space. Prefix-density and
-// MRA answers come from sealed state the seal keeps current in O(day):
-// the distinct set of every sealed day as one cumulative sorted run,
-// the histogram of common-prefix lengths between its neighbours (MRA
-// aggregate counts), and per configured n@/p class the dense-prefix and
-// covered-address counts. Each seal folds only the day's first
-// sightings into them; no report or query re-sorts history.
+// a whole number of days — never a half-rolled one. Shards partition
+// the /64s, so everything keyed by an address or by a /p prefix with
+// p >= 64 merges exactly across shards by summing: distinct counts,
+// spectra, stability, distinct /64s, and each shard's sorted run with
+// its running MRA split histogram and density counts (see shard.h).
+// What straddles shards is engine-level and also kept current in
+// O(day): the sorted run of distinct /64 bases, whose neighbours'
+// common-prefix lengths are the MRA splits above /64, and the counts
+// of configured density classes with p < 64. Each seal folds only the
+// day's first sightings into them; no report or query re-sorts
+// history.
 #pragma once
 
 #include <array>
@@ -65,7 +69,6 @@ struct stream_config {
     unsigned shards = 4;              ///< ingest parallelism (>= 1)
     std::size_t batch_size = 1024;    ///< records per enqueued batch
     std::size_t queue_capacity = 64;  ///< batches per shard queue (backpressure)
-    unsigned projected_length = 64;   ///< second store's prefix length (the /64 analysis)
     unsigned stability_n = 3;         ///< n of the daily report's nd-stable split
     stability_options window{};       ///< sliding window for the daily split
     unsigned spectrum_max = 14;       ///< max n of snapshot lifetime spectra
@@ -130,7 +133,7 @@ struct stream_stats {
     int open_day = kNoDay;           ///< day currently accumulating
     int sealed_day = kNoDay;         ///< epoch: last day sealed everywhere
     std::size_t distinct_addresses = 0;  ///< distinct /128s, sealed days
-    std::size_t distinct_projected = 0;  ///< distinct projected prefixes
+    std::size_t distinct_projected = 0;  ///< distinct /64 prefixes, sealed days
 };
 
 /// The asynchronous roll-up produced when a day seals.
@@ -259,15 +262,16 @@ public:
 
     /// Table-3 rows over the distinct addresses of all sealed days:
     /// configured classes from their running counts, any other class by
-    /// one footnote-3 pass over the sorted run.
+    /// one footnote-3 pass over the shards' runs, merged.
     std::vector<density_row> density_table(
         const std::vector<std::pair<std::uint64_t, unsigned>>& classes) const;
 
-    /// Distinct addresses of all sealed days, sorted (a copy of the run).
+    /// Distinct addresses of all sealed days, sorted (the shards' runs,
+    /// merged).
     std::vector<address> distinct_addresses() const;
 
     /// MRA aggregate counts/ratios over the distinct addresses, from
-    /// the running common-prefix-length histogram.
+    /// the running common-prefix-length histograms.
     mra_series mra() const;
 
     /// The live derived series (ring histories, drift flags) plus the
@@ -305,12 +309,23 @@ private:
     void flush_shard_locked(unsigned shard);   // push_mutex_ held
     void broadcast_seal_locked(int day);       // push_mutex_ held
     day_report build_report(int day) const;    // takes state_mutex_ shared
-    /// state_mutex_ held exclusively, shards just sealed: gathers the
-    /// day's first sightings — each shard's store keys past its
-    /// pre-seal count `seen[i]` — sorts them, folds them into the cpl
-    /// histogram and the density counts, then merges them into the run
-    /// in place.
-    void merge_run(const std::vector<std::size_t>& seen);
+    /// Each shard's distinct /128 and /64 counts before a seal: its
+    /// store keys past them are the day's first sightings.
+    struct seal_mark {
+        std::size_t addresses = 0, prefixes = 0;
+    };
+    /// state_mutex_ held exclusively, shards just sealed: merges the
+    /// day's new /64s (disjoint across shards) into prefix_run_, and
+    /// counts the classes with p < 64 from the shards' new addresses.
+    void merge_prefix_run(const std::vector<seal_mark>& seen);
+    /// state_mutex_ held (either mode): the sealed state's totals,
+    /// summed over the shards and the engine-level parts.
+    std::size_t distinct_addresses_locked() const;
+    std::size_t distinct_prefixes_locked() const;
+    std::array<std::uint64_t, 129> cpl_hist_locked() const;
+    std::vector<density_count> density_counts_locked() const;
+    /// The shards' runs merged into one sorted block.
+    simd::address_block merged_run_locked() const;
     void init_metrics();
     void init_live();
 
@@ -439,22 +454,17 @@ private:
     bool stopping_ = false;
 
     // Sealed state: written only by the roll thread (exclusive), read by
-    // every query (shared). The projected store lives here rather than
-    // per shard: sharding partitions /128s, so addresses of one
-    // projected prefix land in different shards and per-shard projected
-    // counts would double-count.
+    // every query (shared). Beside the shards, only what straddles them:
+    // the distinct /64 bases of every sealed day as one sorted run (its
+    // cpl histogram holds the global run's splits above /64: adjacent
+    // addresses in different /64s have their /64s' common prefix), and
+    // the counts of the configured classes with p < 64 (coarse_classes_,
+    // in configuration order). Both change only at seal.
     mutable std::shared_mutex state_mutex_;
     int sealed_day_ = kNoDay;
-    observation_store projected_store_;
-    // The distinct /128s of every sealed day as one sorted run, plus the
-    // running summaries reports and queries read instead of re-sorting
-    // it: cpl_hist_[c] counts adjacent run pairs whose common prefix
-    // length is c (the MRA split histogram), and density_counts_[i]
-    // holds configured class i's dense-prefix and covered-address
-    // counts. All three change only at seal (merge_run).
-    simd::address_block run_{0};
-    std::array<std::uint64_t, 129> cpl_hist_{};
-    std::vector<density_count> density_counts_;  // per cfg_.density_classes
+    sorted_run prefix_run_;
+    std::vector<density_class> coarse_classes_;
+    std::vector<density_count> coarse_counts_;  // per coarse_classes_
 
     // Emitted reports.
     mutable std::mutex reports_mutex_;

@@ -101,7 +101,9 @@ private:
     void record_one(int day, std::uint64_t hi, std::uint64_t lo);
     std::uint32_t lookup(std::uint64_t hi, std::uint64_t lo) const noexcept;
     /// Batch-reserve: guarantees room for `additional` new records
-    /// without further rehashing (one rehash at most, up front).
+    /// without further rehashing (one rehash at most, up front). The
+    /// key and record arrays grow geometrically, so a stream of days
+    /// copies each record O(1) times overall, not once per day.
     void reserve_for(std::size_t additional);
 
     unsigned prefix_length_;

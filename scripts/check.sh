@@ -275,6 +275,28 @@ EOF
         rm -rf "${smoke}"
         echo "collector smoke passed"
 
+        # Shard invariance: the engine shards by /64 and seals its shards
+        # in parallel, so the tool output must not depend on the shard
+        # count or the SIMD dispatch level. One small capture, replayed
+        # at several shard counts and forced scalar: every stdout (day
+        # reports and the final summary) byte-identical.
+        echo "=== shard invariance: v6stream --replay across shard counts ==="
+        smoke=$(mktemp -d)
+        ./build/tools/v6synth --wire="${smoke}/feed.v6w" \
+            --first=360 --last=373 --scale=0.05 --seed=7
+        for shards in 1 2 3 8; do
+            ./build/tools/v6stream --replay="${smoke}/feed.v6w" \
+                --shards="${shards}" >"${smoke}/shards${shards}.json"
+        done
+        V6CLASS_FORCE_SCALAR=1 ./build/tools/v6stream \
+            --replay="${smoke}/feed.v6w" >"${smoke}/scalar.json"
+        grep -q '"type":"final"' "${smoke}/shards1.json"
+        for out in shards2 shards3 shards8 scalar; do
+            cmp "${smoke}/shards1.json" "${smoke}/${out}.json"
+        done
+        rm -rf "${smoke}"
+        echo "shard invariance passed"
+
         # PMU smoke: replay a wire capture with --pmu-out and check the
         # exit snapshot end to end. On a box with hardware counters the
         # ingest sites must show a positive IPC; anywhere else the

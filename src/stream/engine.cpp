@@ -1,9 +1,6 @@
 #include "v6class/stream/engine.h"
 
 #include <algorithm>
-#include <bit>
-#include <cstring>
-#include <tuple>
 #include <utility>
 
 #include "v6class/obs/introspect.h"
@@ -19,68 +16,36 @@ namespace {
 
 /// FNV-1a over an address's 16 bytes read from its (hi, lo) lanes —
 /// address_hash's hash, with the running value snapshotted after the
-/// /48 and /64 bytes. Shard choice uses `p128`; the day sketches use
-/// all three, so their registers match any node hashing the bytes.
+/// /48 and /64 bytes. Shard choice uses `p64` (fnv1a_p64); the day
+/// sketches use all three, so their registers match any node hashing
+/// the bytes.
 struct lane_hashes {
     std::uint64_t p48, p64, p128;
 };
 
-inline lane_hashes fnv1a_lanes(std::uint64_t hi, std::uint64_t lo) noexcept {
+constexpr std::uint64_t kFnvBasis = 1469598103934665603ull;
+
+/// Folds bytes [first, last) of a lane (most significant first) into
+/// the FNV-1a value h.
+inline std::uint64_t fnv1a_fold(std::uint64_t h, std::uint64_t lane, int first,
+                                int last) noexcept {
     constexpr std::uint64_t kPrime = 1099511628211ull;
-    std::uint64_t h = 1469598103934665603ull;
+    for (int i = first; i < last; ++i)
+        h = (h ^ ((lane >> (56 - 8 * i)) & 0xff)) * kPrime;
+    return h;
+}
+
+inline lane_hashes fnv1a_lanes(std::uint64_t hi, std::uint64_t lo) noexcept {
     lane_hashes out{};
-    for (int i = 0; i < 8; ++i) {
-        h = (h ^ ((hi >> (56 - 8 * i)) & 0xff)) * kPrime;
-        if (i == 5) out.p48 = h;
-    }
-    out.p64 = h;
-    for (int i = 0; i < 8; ++i) h = (h ^ ((lo >> (56 - 8 * i)) & 0xff)) * kPrime;
-    out.p128 = h;
+    out.p48 = fnv1a_fold(kFnvBasis, hi, 0, 6);
+    out.p64 = fnv1a_fold(out.p48, hi, 6, 8);
+    out.p128 = fnv1a_fold(out.p64, lo, 0, 8);
     return out;
 }
 
-/// Common prefix length of two addresses given as (hi, lo) lanes —
-/// address::common_prefix_length on the lane representation.
-inline unsigned lane_cpl(std::uint64_t ahi, std::uint64_t alo,
-                         std::uint64_t bhi, std::uint64_t blo) noexcept {
-    if (ahi != bhi) return static_cast<unsigned>(std::countl_zero(ahi ^ bhi));
-    if (alo != blo)
-        return 64 + static_cast<unsigned>(std::countl_zero(alo ^ blo));
-    return 128;
-}
-
-/// First index in [from, n) of the sorted lanes whose address is not
-/// below (hi, lo). Galloping from `from`: a sorted sequence of probes
-/// costs O(log gap) each instead of O(log n).
-std::size_t gallop_lower_bound(const std::uint64_t* his,
-                               const std::uint64_t* los, std::size_t from,
-                               std::size_t n, std::uint64_t hi,
-                               std::uint64_t lo) noexcept {
-    const auto below = [&](std::size_t k) {
-        return his[k] < hi || (his[k] == hi && los[k] < lo);
-    };
-    std::size_t first = from, last = from, step = 1;
-    while (last < n && below(last)) {
-        first = last + 1;
-        last += step;
-        step *= 2;
-    }
-    last = std::min(last, n);
-    while (first < last) {
-        const std::size_t mid = first + (last - first) / 2;
-        if (below(mid))
-            first = mid + 1;
-        else
-            last = mid;
-    }
-    return first;
-}
-
-/// The (hi, lo) lane masks of a /p prefix.
-inline std::pair<std::uint64_t, std::uint64_t> prefix_masks(unsigned p) noexcept {
-    const std::uint64_t hi = p >= 64 ? ~0ull : p == 0 ? 0 : ~0ull << (64 - p);
-    const std::uint64_t lo = p >= 128 ? ~0ull : p <= 64 ? 0 : ~0ull << (128 - p);
-    return {hi, lo};
+/// fnv1a_lanes(hi, lo).p64: the /64 hash, from the hi lane alone.
+inline std::uint64_t fnv1a_p64(std::uint64_t hi) noexcept {
+    return fnv1a_fold(kFnvBasis, hi, 0, 8);
 }
 
 }  // namespace
@@ -136,7 +101,8 @@ void stream_engine::init_metrics() {
         const obs::label_list shard{{"shard", std::to_string(i)}};
         m_.shard_records.push_back(reg.get_counter(
             "v6_stream_shard_records_total", shard,
-            "Records accepted per shard (skew = max/min across shards)."));
+            "Records accepted per shard. Shards own whole /64s, so skew "
+            "(max/min across shards) follows the feed's per-/64 volume."));
         m_.queue_depth.push_back(
             reg.get_gauge("v6_stream_queue_depth", shard,
                           "Batches waiting in the shard queue."));
@@ -146,8 +112,9 @@ void stream_engine::init_metrics() {
     }
     m_.seal_latency = reg.get_histogram(
         "v6_stream_seal_latency_seconds", obs::latency_buckets(), {},
-        "Time to apply one day seal across every shard (exclusive state "
-        "lock held).");
+        "Time to apply one day seal: every shard sealed in parallel on the "
+        "work pool, then the cross-shard /64 run (exclusive state lock "
+        "held).");
     m_.report_build = reg.get_histogram(
         "v6_stream_report_build_seconds", obs::latency_buckets(), {},
         "Time to recompute a day report (overlaps next-day ingest).");
@@ -231,7 +198,7 @@ void stream_engine::init_live() {
 }
 
 stream_engine::stream_engine(stream_config cfg)
-    : cfg_(std::move(cfg)), projected_store_(cfg_.projected_length) {
+    : cfg_(std::move(cfg)) {
     if (cfg_.shards == 0) cfg_.shards = 1;
     if (cfg_.batch_size == 0) cfg_.batch_size = 1;
     init_metrics();
@@ -251,10 +218,15 @@ stream_engine::stream_engine(stream_config cfg)
     queues_.reserve(cfg_.shards);
     staging_.reserve(cfg_.shards);
     drained_day_.assign(cfg_.shards, kNoDay);
-    density_counts_.resize(cfg_.density_classes.size());
+    // Classes with p >= 64 never straddle shards: each shard counts its
+    // own. Coarser ones are counted here.
+    std::vector<density_class> fine;
+    for (const density_class& cls : cfg_.density_classes)
+        (cls.second >= kShardPrefixLength ? fine : coarse_classes_).push_back(cls);
+    coarse_counts_.resize(coarse_classes_.size());
     for (unsigned i = 0; i < cfg_.shards; ++i) {
         staging_.emplace_back(cfg_.batch_size);
-        shards_.push_back(std::make_unique<stream_shard>());
+        shards_.push_back(std::make_unique<stream_shard>(fine));
         queues_.push_back(
             std::make_unique<bounded_queue<shard_message>>(cfg_.queue_capacity));
     }
@@ -321,8 +293,7 @@ void stream_engine::push_lane_locked(int day, std::uint64_t hi,
         hits_p50_.observe(h);
         hits_p99_.observe(h);
     }
-    const auto shard =
-        static_cast<unsigned>(fnv1a_lanes(hi, lo).p128 % cfg_.shards);
+    const auto shard = static_cast<unsigned>(fnv1a_p64(hi) % cfg_.shards);
     staging_[shard].push_back(hi, lo);
     if (staging_[shard].size() >= cfg_.batch_size) flush_shard_locked(shard);
 }
@@ -490,25 +461,23 @@ void stream_engine::roll_loop() {
             // already-drained shards can stall behind a seal.
             obs::trace_scope span("seal_day", m_.seal_latency);
             std::unique_lock state(state_mutex_);
-            // Each shard's store keys past its pre-seal count are the
-            // day's first sightings; the shards' sealed lanes together
-            // are the day's union for the projected (/64) store, which
-            // is engine-level (see engine.h).
-            std::vector<std::size_t> seen(shards_.size());
-            simd::address_block active(0);
-            for (std::size_t i = 0; i < shards_.size(); ++i) {
+            // Shards share no sealed state, so each seals as one pool
+            // task; the workers are parked, so nothing else touches them.
+            std::vector<seal_mark> seen(shards_.size());
+            par::run_indexed(shards_.size(), [&](std::size_t i) {
                 obs::span shard_span("shard.seal");
                 obs::pmu_scope shard_pmu("shard.seal");
-                seen[i] = shards_[i]->distinct_addresses();
-                shards_[i]->seal_day(day, active);
-            }
-            projected_store_.record_day(day, active);
-            merge_run(seen);
+                seen[i] = {shards_[i]->distinct_addresses(),
+                           shards_[i]->distinct_prefixes()};
+                shards_[i]->seal_day(day);
+            });
+            merge_prefix_run(seen);
             if (cfg_.sketches) merge_day_sketches();
             sealed_day_ = day;
-            m_.distinct_addresses.set(static_cast<std::int64_t>(run_.size()));
+            m_.distinct_addresses.set(
+                static_cast<std::int64_t>(distinct_addresses_locked()));
             m_.distinct_projected.set(
-                static_cast<std::int64_t>(projected_store_.distinct_count()));
+                static_cast<std::int64_t>(distinct_prefixes_locked()));
         }
         m_.sealed_day.set(day);
         m_.seals.inc();
@@ -598,12 +567,14 @@ day_report stream_engine::build_report(int day) const {
         report.not_stable += t.not_stable;
         report.distinct_addresses += t.distinct;
     }
-    report.distinct_projected = projected_store_.distinct_count();
+    report.distinct_projected = distinct_prefixes_locked();
     report.active = report.stable + report.not_stable;
     // Density and the live MRA ratios around the /64 boundary are read
-    // off the running counts the seal keeps (see merge_run).
-    report.density = compute_density_table(cfg_.density_classes, density_counts_);
-    const mra_series mra = compute_mra_from_histogram(cpl_hist_, run_.empty());
+    // off the running counts the seal keeps.
+    report.density =
+        compute_density_table(cfg_.density_classes, density_counts_locked());
+    const mra_series mra = compute_mra_from_histogram(
+        cpl_hist_locked(), report.distinct_addresses == 0);
     report.gamma1 = mra.ratio(64, 1);
     report.gamma4 = mra.ratio(60, 4);
     report.gamma16 = mra.ratio(48, 16);
@@ -744,8 +715,8 @@ stream_stats stream_engine::stats() const {
     }
     std::shared_lock state(state_mutex_);
     out.sealed_day = sealed_day_;
-    for (const auto& s : shards_) out.distinct_addresses += s->distinct_addresses();
-    out.distinct_projected = projected_store_.distinct_count();
+    out.distinct_addresses = distinct_addresses_locked();
+    out.distinct_projected = distinct_prefixes_locked();
     return out;
 }
 
@@ -754,104 +725,126 @@ int stream_engine::sealed_day() const {
     return sealed_day_;
 }
 
-void stream_engine::merge_run(const std::vector<std::size_t>& seen) {
-    obs::span span("merge_run", obs::span_kind::merge);
-    // Shards partition the /128s, so their tails are disjoint from each
-    // other and from the run: sorting them is O(day).
+std::size_t stream_engine::distinct_addresses_locked() const {
+    std::size_t n = 0;
+    for (const auto& s : shards_) n += s->distinct_addresses();
+    return n;
+}
+
+std::size_t stream_engine::distinct_prefixes_locked() const {
+    std::size_t n = 0;
+    for (const auto& s : shards_) n += s->distinct_prefixes();
+    return n;
+}
+
+std::array<std::uint64_t, 129> stream_engine::cpl_hist_locked() const {
+    // Neighbours of the global sorted order in different /64s split
+    // where their /64s do: buckets below 64 are the /64 run's. Neighbours
+    // inside one /64 are neighbours in that /64's shard: buckets 64 and
+    // up are the shards' sums.
+    std::array<std::uint64_t, 129> hist = prefix_run_.cpl_hist();
+    for (const auto& s : shards_)
+        for (unsigned c = kShardPrefixLength; c < hist.size(); ++c)
+            hist[c] += s->run().cpl_hist()[c];
+    return hist;
+}
+
+std::vector<density_count> stream_engine::density_counts_locked() const {
+    std::vector<density_count> out(cfg_.density_classes.size());
+    std::size_t fine = 0, coarse = 0;
+    for (std::size_t c = 0; c < out.size(); ++c) {
+        if (cfg_.density_classes[c].second < kShardPrefixLength) {
+            out[c] = coarse_counts_[coarse++];
+            continue;
+        }
+        for (const auto& s : shards_) {
+            out[c].dense += s->run().counts()[fine].dense;
+            out[c].covered += s->run().counts()[fine].covered;
+        }
+        ++fine;
+    }
+    return out;
+}
+
+simd::address_block stream_engine::merged_run_locked() const {
+    // Shards partition the /64s, so the merged order interleaves whole
+    // /64 groups: repeatedly take the group at the lowest shard head.
+    simd::address_block out(0);
+    out.reserve(distinct_addresses_locked());
+    std::vector<std::size_t> at(shards_.size(), 0);
+    for (;;) {
+        const simd::address_block* best = nullptr;
+        std::size_t* pos = nullptr;
+        for (std::size_t i = 0; i < shards_.size(); ++i) {
+            const simd::address_block& keys = shards_[i]->run().keys();
+            if (at[i] < keys.size() &&
+                (!best || keys.hi_at(at[i]) < best->hi_at(*pos))) {
+                best = &keys;
+                pos = &at[i];
+            }
+        }
+        if (!best) return out;
+        const std::uint64_t hi = best->hi_at(*pos);
+        do {
+            out.push_back(hi, best->lo_at(*pos));
+        } while (++*pos < best->size() && best->hi_at(*pos) == hi);
+    }
+}
+
+void stream_engine::merge_prefix_run(const std::vector<seal_mark>& seen) {
+    // Each shard's new /64s are its /64 store's keys past the pre-seal
+    // count; shards partition the /64s, so together they are disjoint
+    // from each other and from the run.
     simd::address_block fresh(0);
     for (std::size_t i = 0; i < shards_.size(); ++i)
-        shards_[i]->store().append_keys(fresh, seen[i]);
+        shards_[i]->store64().append_keys(fresh, seen[i].prefixes);
     simd::sort_block(fresh);
-    const std::size_t n = run_.size();
-    const std::size_t m = fresh.size();
-    if (m == 0) return;
-    const std::uint64_t* rh = run_.hi();
-    const std::uint64_t* rl = run_.lo();
-    const std::uint64_t* fh = fresh.hi();
-    const std::uint64_t* fl = fresh.lo();
+    prefix_run_.merge(fresh);
 
-    // One forward sweep over the new keys finds each one's insertion
-    // point in the old run (galloping: they are sorted) and updates the
-    // summaries while the run's lines around it are still in cache.
-    //
-    // MRA: the new keys landing between old neighbours a and b form one
-    // group x1..xk; the pair (a, b) stops being adjacent and (a, x1),
-    // each (xi, xi+1) and (xk, b) start — where a and b exist.
-    //
-    // Density: per class n@/p, a /p group of m' new keys spans the old
-    // run from x1's insertion point to xk's, all inside the prefix; its
-    // g old members are those plus the prefix's neighbours on either
-    // side, counted only up to n. A prefix already dense gains m'
-    // covered addresses; one that crosses n becomes dense with all
-    // g + m' of them.
-    std::vector<std::size_t> at(m);
-    struct class_scan {
-        std::uint64_t mh = 0, ml = 0;
-        std::size_t first = 0;  // the open /p group's first new key
-    };
-    std::vector<class_scan> scans(cfg_.density_classes.size());
-    for (std::size_t c = 0; c < scans.size(); ++c)
-        std::tie(scans[c].mh, scans[c].ml) =
-            prefix_masks(cfg_.density_classes[c].second);
-    const auto close_group = [&](std::size_t c, std::size_t last) {
-        const std::uint64_t need = cfg_.density_classes[c].first;
-        if (need == 0) return;  // no prefix qualifies (as the sort path)
-        const class_scan& sc = scans[c];
-        const std::uint64_t bh = fh[sc.first] & sc.mh, bl = fl[sc.first] & sc.ml;
-        const auto inside = [&](std::size_t k) {
-            return (rh[k] & sc.mh) == bh && (rl[k] & sc.ml) == bl;
-        };
-        std::size_t lo = at[sc.first], hi = at[last];
-        std::uint64_t old = hi - lo;
-        while (lo > 0 && old < need && inside(lo - 1)) --lo, ++old;
-        while (hi < n && old < need && inside(hi)) ++hi, ++old;
-        const std::uint64_t added = last + 1 - sc.first;
-        density_count& count = density_counts_[c];
-        if (old >= need) {
-            count.covered += added;
-        } else if (old + added >= need) {
-            ++count.dense;
-            count.covered += old + added;
+    // Classes with p < 64 straddle shards. Per /p prefix touched by the
+    // day's first sightings (m of them, over every shard), count its
+    // members g in the shards' merged runs by binary search on the hi
+    // lane: g - m of them are old, as in sorted_run::merge.
+    for (std::size_t k = 0; k < coarse_classes_.size(); ++k) {
+        const auto [need, p] = coarse_classes_[k];
+        if (need == 0) continue;  // no prefix qualifies (as the sort path)
+        const std::uint64_t mask = p == 0 ? 0 : ~0ull << (64 - p);
+        std::vector<std::pair<std::uint64_t, std::uint64_t>> groups;  // (base, m)
+        for (std::size_t i = 0; i < shards_.size(); ++i) {
+            simd::address_block added(0);
+            shards_[i]->store().append_keys(added, seen[i].addresses);
+            for (std::size_t j = 0; j < added.size(); ++j) {
+                const std::uint64_t base = added.hi_at(j) & mask;
+                if (groups.empty() || groups.back().first != base)
+                    groups.emplace_back(base, 0);
+                ++groups.back().second;
+            }
         }
-    };
-    for (std::size_t i = 0, from = 0; i < m; ++i) {
-        const std::size_t j = from = at[i] =
-            gallop_lower_bound(rh, rl, from, n, fh[i], fl[i]);
-        if (i > 0 && at[i - 1] == j) {
-            ++cpl_hist_[lane_cpl(fh[i - 1], fl[i - 1], fh[i], fl[i])];
-        } else {
-            if (i > 0 && at[i - 1] < n)  // close the previous group: (xk, b)
-                ++cpl_hist_[lane_cpl(fh[i - 1], fl[i - 1], rh[at[i - 1]], rl[at[i - 1]])];
-            if (j > 0 && j < n) --cpl_hist_[lane_cpl(rh[j - 1], rl[j - 1], rh[j], rl[j])];
-            if (j > 0) ++cpl_hist_[lane_cpl(rh[j - 1], rl[j - 1], fh[i], fl[i])];
+        std::sort(groups.begin(), groups.end());
+        std::vector<std::size_t> from(shards_.size(), 0);
+        for (std::size_t g = 0; g < groups.size();) {
+            const std::uint64_t base = groups[g].first;
+            std::uint64_t added = 0;
+            for (; g < groups.size() && groups[g].first == base; ++g)
+                added += groups[g].second;
+            std::uint64_t members = 0;
+            for (std::size_t i = 0; i < shards_.size(); ++i) {
+                const simd::address_block& keys = shards_[i]->run().keys();
+                const std::uint64_t* end = keys.hi() + keys.size();
+                const std::uint64_t* first =
+                    std::lower_bound(keys.hi() + from[i], end, base);
+                const std::uint64_t* last = std::upper_bound(first, end, base | ~mask);
+                members += static_cast<std::uint64_t>(last - first);
+                from[i] = static_cast<std::size_t>(last - keys.hi());
+            }
+            density_count& count = coarse_counts_[k];
+            if (members - added >= need) {
+                count.covered += added;
+            } else if (members >= need) {
+                ++count.dense;
+                count.covered += members;
+            }
         }
-        for (std::size_t c = 0; i > 0 && c < scans.size(); ++c) {
-            class_scan& sc = scans[c];
-            if (((fh[i] ^ fh[sc.first]) & sc.mh) == 0 &&
-                ((fl[i] ^ fl[sc.first]) & sc.ml) == 0)
-                continue;
-            close_group(c, i - 1);
-            sc.first = i;
-        }
-    }
-    if (at[m - 1] < n)
-        ++cpl_hist_[lane_cpl(fh[m - 1], fl[m - 1], rh[at[m - 1]], rl[at[m - 1]])];
-    for (std::size_t c = 0; c < scans.size(); ++c) close_group(c, m - 1);
-
-    // Merge in place from the back: each old element moves right by the
-    // number of new keys below it, so walking the new keys downward
-    // shifts every old segment once, then drops the key into its gap.
-    run_.resize(n + m);
-    std::uint64_t* wh = run_.hi();
-    std::uint64_t* wl = run_.lo();
-    std::size_t end = n;
-    for (std::size_t i = m; i-- > 0;) {
-        const std::size_t j = at[i];
-        std::memmove(wh + j + i + 1, wh + j, (end - j) * sizeof(std::uint64_t));
-        std::memmove(wl + j + i + 1, wl + j, (end - j) * sizeof(std::uint64_t));
-        wh[j + i] = fh[i];
-        wl[j + i] = fl[i];
-        end = j;
     }
 }
 
@@ -866,15 +859,16 @@ stream_snapshot stream_engine::snapshot() const {
     std::shared_lock state(state_mutex_);
     out.epoch = sealed_day_;
     std::vector<std::uint64_t> merged_spectrum(cfg_.spectrum_max + 1, 0);
+    out.distinct_addresses = distinct_addresses_locked();
     for (const auto& s : shards_) {
-        out.distinct_addresses += s->distinct_addresses();
         const auto spectrum = s->spectrum(cfg_.spectrum_max);
         for (std::size_t n = 0; n < spectrum.size(); ++n)
             merged_spectrum[n] += spectrum[n];
     }
-    out.distinct_projected = projected_store_.distinct_count();
+    out.distinct_projected = distinct_prefixes_locked();
     out.spectrum = std::move(merged_spectrum);
-    out.density = compute_density_table(cfg_.density_classes, density_counts_);
+    out.density =
+        compute_density_table(cfg_.density_classes, density_counts_locked());
     return out;
 }
 
@@ -914,9 +908,9 @@ std::vector<density_row> stream_engine::density_table(
     const std::vector<std::pair<std::uint64_t, unsigned>>& classes) const {
     std::shared_lock state(state_mutex_);
     // Configured classes are kept current at seal; any other class is a
-    // footnote-3 pass over the run, which is already sorted.
+    // footnote-3 pass over the shards' runs, merged (each is sorted).
     const std::vector<density_row> configured =
-        compute_density_table(cfg_.density_classes, density_counts_);
+        compute_density_table(cfg_.density_classes, density_counts_locked());
     std::vector<address> distinct;  // materialised on first use
     std::vector<density_row> rows;
     rows.reserve(classes.size());
@@ -927,7 +921,7 @@ std::vector<density_row> stream_engine::density_table(
             rows.push_back(configured[it - cfg_.density_classes.begin()]);
             continue;
         }
-        if (distinct.empty()) distinct = run_.to_vector();
+        if (distinct.empty()) distinct = merged_run_locked().to_vector();
         rows.push_back(compute_density_table(distinct, {cls}).front());
     }
     return rows;
@@ -935,12 +929,13 @@ std::vector<density_row> stream_engine::density_table(
 
 std::vector<address> stream_engine::distinct_addresses() const {
     std::shared_lock state(state_mutex_);
-    return run_.to_vector();
+    return merged_run_locked().to_vector();
 }
 
 mra_series stream_engine::mra() const {
     std::shared_lock state(state_mutex_);
-    return compute_mra_from_histogram(cpl_hist_, run_.empty());
+    return compute_mra_from_histogram(cpl_hist_locked(),
+                                      distinct_addresses_locked() == 0);
 }
 
 std::vector<day_report> stream_engine::reports() const {

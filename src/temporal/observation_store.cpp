@@ -103,9 +103,12 @@ std::uint32_t observation_store::lookup(std::uint64_t hi,
 
 void observation_store::reserve_for(std::size_t additional) {
     const std::size_t need = recs_.size() + additional;
-    key_hi_.reserve(need);
-    key_lo_.reserve(need);
-    recs_.reserve(need);
+    if (need > recs_.capacity()) {
+        const std::size_t cap = std::max(need, 2 * recs_.capacity());
+        key_hi_.reserve(cap);
+        key_lo_.reserve(cap);
+        recs_.reserve(cap);
+    }
     // Keep the probe table under 7/8 load; one rehash up front covers the
     // whole batch.
     if (index_.empty() || need * 8 >= index_.size() * 7) {

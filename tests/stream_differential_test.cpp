@@ -5,13 +5,16 @@
 // counts, and in every day report the density rows and MRA ratios of
 // the days sealed so far — for any shard count (including the unsharded
 // engine). The reference density and MRA come from a radix_tree; the
-// engine keeps running counts over its sorted run instead.
+// engine keeps running counts over its shards' sorted runs instead,
+// plus engine-level state for what straddles their /64s (the splits
+// above /64, and density classes with p < 64).
 //
 // Two feeds: a >=100k-record one drawn from a fixed pool (which
 // saturates, so late days add few new addresses), and one whose
 // distinct set grows every day around and inside what is already
-// there, with a day gap and a repeats-only day, so every seal folds
-// fresh keys into the engine's incremental MRA and density updates.
+// there, with a day gap, a repeats-only day and one hot /64, so every
+// seal folds fresh keys into the engine's incremental MRA and density
+// updates and one shard's run outgrows the others.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -38,12 +41,15 @@ const class_list kClasses = {{2, 112}, {8, 64}, {2, 48}};
 
 // The growing feed: days 200..211 without day 205, and day 209 carries
 // only addresses seen before. {3, 120} has groups that cross n and
-// groups that keep growing past it.
+// groups that keep growing past it; {2, 48} has /48s whose members sit
+// in different /64s, so they cross n with members in several shards.
 constexpr int kGrowFirstDay = 200;
 constexpr int kGrowLastDay = 211;
 constexpr int kGapDay = 205;
 constexpr int kRepeatDay = 209;
-const class_list kGrowClasses = {{1, 64}, {3, 120}, {1, 128}};
+constexpr std::uint64_t kHot = 0x20010db8000b0001ull;  // the hot /64
+constexpr unsigned kHotPerDay = 400;
+const class_list kGrowClasses = {{1, 64}, {3, 120}, {1, 128}, {2, 48}};
 
 // A pool with real spatial structure: 64 /64 networks, 16 /112 blocks
 // each, so the density classes and MRA ratios have something to find.
@@ -72,9 +78,11 @@ std::vector<stream_record> make_feed() {
 }
 
 // Each day: returning addresses, one address below and one above every
-// address seen so far, a burst into eight /64s whose /112s and /120s
-// are already dense (joining, crossing and saturating groups), and a
-// scatter over 4096 sparse /64s that lands between existing neighbours.
+// address seen so far (each in a /64 of its own), a burst into eight
+// /64s whose /112s and /120s are already dense (joining, crossing and
+// saturating groups), a scatter over 4096 sparse /64s that lands
+// between existing neighbours, and hundreds of privacy-style (random
+// interface identifier) addresses in one hot /64.
 std::vector<stream_record> make_growing_feed() {
     constexpr std::uint64_t kDense = 0x20010db8000a0000ull;
     constexpr std::uint64_t kSparse = 0x20010db800500000ull;
@@ -99,6 +107,7 @@ std::vector<stream_record> make_growing_feed() {
                   (r.uniform(32) << 16) | r.uniform(1024));
         for (unsigned i = 0; i < 400; ++i)
             fresh(day, kSparse + r.uniform(4096), r());
+        for (unsigned i = 0; i < kHotPerDay; ++i) fresh(day, kHot, r());
     }
     return feed;
 }
@@ -167,10 +176,10 @@ void expect_same_rows(const std::vector<density_row>& got,
 
 // Replays `feed` through an engine with `shards` shards and density
 // `classes`, and checks every answer against the batch pipeline —
-// `other` is a density class the engine was not configured with.
+// `others` are density classes the engine was not configured with.
 void expect_stream_matches_batch(const std::vector<stream_record>& feed,
                                  unsigned shards, const class_list& classes,
-                                 std::pair<std::uint64_t, unsigned> other) {
+                                 const class_list& others) {
     const batch_state batch(feed);
     const std::vector<int> days = feed_days(feed);
 
@@ -210,7 +219,7 @@ void expect_stream_matches_batch(const std::vector<stream_record>& feed,
     // that is not, and the two mixed in one query.
     expect_same_rows(engine.density_table(classes),
                      compute_density_table(batch.tree, classes), "final");
-    class_list mixed = {other};
+    class_list mixed = others;
     mixed.insert(mixed.end(), classes.begin(), classes.end());
     expect_same_rows(engine.density_table(mixed),
                      compute_density_table(batch.tree, mixed), "mixed");
@@ -256,7 +265,7 @@ class StreamDifferential : public ::testing::TestWithParam<unsigned> {};
 TEST_P(StreamDifferential, StreamReproducesBatchExactly) {
     const std::vector<stream_record> feed = make_feed();
     ASSERT_GE(feed.size(), 100000u);
-    expect_stream_matches_batch(feed, GetParam(), kClasses, {3, 120});
+    expect_stream_matches_batch(feed, GetParam(), kClasses, {{3, 120}});
 }
 
 TEST_P(StreamDifferential, GrowingFeedReproducesBatchExactly) {
@@ -290,11 +299,19 @@ TEST_P(StreamDifferential, GrowingFeedReproducesBatchExactly) {
         std::sort(seen.begin(), seen.end());
     }
 
-    expect_stream_matches_batch(feed, GetParam(), kGrowClasses, {2, 112});
+    // One /64 gains kHotPerDay new addresses a day: over a quarter of
+    // the distinct set lands in its shard's run.
+    std::size_t hot = 0;
+    for (const address& a : seen) hot += a.hi() == kHot;
+    EXPECT_EQ(hot, kHotPerDay * (days.size() - 1));
+    EXPECT_GT(hot * 4, seen.size());
+
+    expect_stream_matches_batch(feed, GetParam(), kGrowClasses,
+                                {{2, 112}, {1, 56}});
 }
 
 INSTANTIATE_TEST_SUITE_P(ShardCounts, StreamDifferential,
-                         ::testing::Values(1u, 2u, 5u));
+                         ::testing::Values(1u, 2u, 5u, 8u));
 
 }  // namespace
 }  // namespace v6

@@ -740,8 +740,9 @@ TEST_P(StreamPushPathTest, PushAndPushBlockAgree) {
     }
 
     // The day sketches hash exactly FNV-1a over 16/6/8 address bytes:
-    // each report's estimates equal independently fed HLLs'. The
-    // shards follow address_hash, so per-shard counts are pinned too.
+    // each report's estimates equal independently fed HLLs'. A record's
+    // shard is the same hash over its /64 (8 bytes), so per-shard
+    // counts are pinned too.
     std::vector<std::uint64_t> per_shard(shards, 0);
     for (std::size_t d = 0; d < rb.size(); ++d) {
         obs::hyperloglog addrs(cfg.hll_precision), p48s(cfg.hll_precision),
@@ -753,7 +754,7 @@ TEST_P(StreamPushPathTest, PushAndPushBlockAgree) {
             addrs.add(fnv1a_prefix(r.addr, 16));
             p48s.add(fnv1a_prefix(r.addr, 6));
             p64s.add(fnv1a_prefix(r.addr, 8));
-            ++per_shard[address_hash{}(r.addr) % shards];
+            ++per_shard[fnv1a_prefix(r.addr, 8) % shards];
         }
         EXPECT_EQ(rb[d].est_day_addresses, addrs.estimate()) << "day " << rb[d].day;
         EXPECT_EQ(rb[d].est_day_48s, p48s.estimate()) << "day " << rb[d].day;
