@@ -309,15 +309,11 @@ private:
     void flush_shard_locked(unsigned shard);   // push_mutex_ held
     void broadcast_seal_locked(int day);       // push_mutex_ held
     day_report build_report(int day) const;    // takes state_mutex_ shared
-    /// Each shard's distinct /128 and /64 counts before a seal: its
-    /// store keys past them are the day's first sightings.
-    struct seal_mark {
-        std::size_t addresses = 0, prefixes = 0;
-    };
     /// state_mutex_ held exclusively, shards just sealed: merges the
     /// day's new /64s (disjoint across shards) into prefix_run_, and
-    /// counts the classes with p < 64 from the shards' new addresses.
-    void merge_prefix_run(const std::vector<seal_mark>& seen);
+    /// counts the classes with p < 64 from the shards' new addresses —
+    /// their store keys past `seen`, each shard's pre-seal distinct count.
+    void merge_prefix_run(const std::vector<std::size_t>& seen);
     /// state_mutex_ held (either mode): the sealed state's totals,
     /// summed over the shards and the engine-level parts.
     std::size_t distinct_addresses_locked() const;

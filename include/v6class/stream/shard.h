@@ -10,10 +10,15 @@
 // in that /64's shard). Only what straddles /64s is engine-level: the
 // splits above /64 and density classes with p < 64.
 //
-// State is SoA end to end: the open day stages as address_block lanes,
-// the flat /128 observation store is the shard's only hashed copy of
-// its distinct set, and the sorted run holds the same set in address
-// order with its running MRA and density summaries.
+// State is SoA end to end: the open day stages as address_block lanes;
+// the flat /128 observation store — one day bitmap per address — is the
+// shard's only temporal state and its only hashed copy of the distinct
+// set; and the sorted run holds the same set in address order with its
+// running MRA and density summaries. The windowed split reads the
+// bitmaps of the reference day's addresses, found through a ring of the
+// last window_fwd + 1 days' store slots. The day's new /64s fall out of
+// the run merge (a new key whose /64 neither old neighbour shares); the
+// shard keeps only their count.
 //
 // Concurrency contract (enforced by stream_engine, not by this class):
 // `buffer` is called only by the shard's worker thread; `seal_day` and
@@ -24,14 +29,15 @@
 
 #include <array>
 #include <cstdint>
+#include <deque>
+#include <limits>
 #include <utility>
 #include <vector>
 
 #include "v6class/simd/address_block.h"
 #include "v6class/spatial/density.h"
-#include "v6class/temporal/daily_series.h"
 #include "v6class/temporal/observation_store.h"
-#include "v6class/temporal/stability.h"
+#include "v6class/temporal/window.h"
 
 namespace v6 {
 
@@ -55,8 +61,11 @@ public:
     /// Folds `fresh` — sorted keys, disjoint from the run — into the run
     /// and its summaries: one galloping sweep finds each key's insertion
     /// point and updates the histogram and counts, then the run is
-    /// merged from the back, in place.
-    void merge(const simd::address_block& fresh);
+    /// merged from the back, in place. With `new_prefixes`, the sweep
+    /// also appends the /64 base of every fresh key whose /64 the run
+    /// did not hold before, once each, sorted.
+    void merge(const simd::address_block& fresh,
+               simd::address_block* new_prefixes = nullptr);
 
     const simd::address_block& keys() const noexcept { return keys_; }
     const std::array<std::uint64_t, 129>& cpl_hist() const noexcept { return hist_; }
@@ -73,50 +82,75 @@ private:
 class stream_shard {
 public:
     /// `classes`: the density classes whose counts this shard keeps —
-    /// the engine passes its configured classes with p >= 64.
-    explicit stream_shard(std::vector<density_class> classes)
-        : store128_(128), store64_(kShardPrefixLength), run_(std::move(classes)) {}
+    /// the engine passes its configured classes with p >= 64. `window`:
+    /// the daily split's window, which sizes the ring of recent days.
+    stream_shard(std::vector<density_class> classes, stability_options window);
 
     /// Stages one batch of the in-progress day's addresses. Sealed
     /// state is not touched until seal_day.
     void buffer(const simd::address_block& batch) { pending_.append(batch); }
 
     /// Seals `day`: sorts and dedupes everything staged since the last
-    /// seal in place and folds it into the /128 and /64 observation
-    /// stores, the daily series and the sorted run. Staged lanes all
-    /// belong to `day` (the engine broadcasts a seal marker before any
-    /// newer-day record is enqueued). Each store's keys past its
-    /// pre-seal distinct count are the day's first sightings, sorted.
+    /// seal in place, folds it into the observation store (keeping the
+    /// day's store slots in the ring) and its first sightings into the
+    /// sorted run. Staged lanes all belong to `day` (the engine
+    /// broadcasts a seal marker before any newer-day record is
+    /// enqueued), and days seal in increasing order; the engine seals
+    /// every shard every day, staged lanes or not.
     void seal_day(int day);
 
     // ----- sealed-state queries (epoch-consistent under the engine) ----
 
-    std::size_t distinct_addresses() const noexcept { return store128_.distinct_count(); }
-    std::size_t distinct_prefixes() const noexcept { return store64_.distinct_count(); }
+    std::size_t distinct_addresses() const noexcept { return store_.distinct_count(); }
+    std::size_t distinct_prefixes() const noexcept { return prefixes_; }
 
-    const observation_store& store() const noexcept { return store128_; }
-    const observation_store& store64() const noexcept { return store64_; }
+    const observation_store& store() const noexcept { return store_; }
     /// The shard's distinct addresses in order, with their summaries.
     const sorted_run& run() const noexcept { return run_; }
+    /// The /64 bases the last seal saw first, sorted (their lo lanes 0).
+    const simd::address_block& fresh_prefixes() const noexcept { return fresh64_; }
 
-    /// This shard's slice of the windowed nd-stable split for `ref_day`.
-    stability_split classify_day(int ref_day, unsigned n,
-                                 const stability_options& opt) const {
-        return stability_analyzer(series_, opt).classify_day(ref_day, n);
-    }
+    /// This shard's slice of the windowed nd-stable split for `ref_day`,
+    /// in address order.
+    stability_split classify_day(int ref_day, unsigned n) const;
+
+    /// The same split, counted: (stable, not stable).
+    std::pair<std::uint64_t, std::uint64_t> count_day(int ref_day, unsigned n) const;
 
     /// This shard's slice of the lifetime spectrum (span >= n).
     std::vector<std::uint64_t> spectrum(unsigned max_n) const {
-        return store128_.stability_spectrum(max_n);
+        return store_.stability_spectrum(max_n);
     }
 
 private:
+    /// Calls visit(slot, stable) for every address active on `ref_day`,
+    /// in address order.
+    template <class Visit>
+    void classify_slots(int ref_day, unsigned n, Visit&& visit) const;
+
+    /// One sealed day's store slots, in the order of its sorted lanes.
+    struct day_slots {
+        int day = 0;
+        std::vector<std::uint32_t> slots;
+    };
+    /// True when `day` is no older than the ring keeps: within
+    /// window_fwd days of the last seal.
+    bool in_ring_range(int day) const noexcept {
+        return std::int64_t{day} >= std::int64_t{sealed_} - window_.window_fwd;
+    }
+
+    stability_options window_;
     simd::address_block pending_{0};  // staged lanes of the open day
 
-    daily_series series_;             // per-day active sets (sealed days)
-    observation_store store128_;      // lifetime state at /128
-    observation_store store64_;       // lifetime state at /64
+    observation_store store_{128};    // per-address day bitmaps
+    // The days in [sealed_ - window_fwd, sealed_] that staged lanes,
+    // oldest first (an evicted entry's capacity is reused).
+    std::deque<day_slots> ring_;
+    int first_day_ = std::numeric_limits<int>::max();  // first day with lanes
+    int sealed_ = 0;                                   // the last seal
     sorted_run run_;                  // the distinct /128s, sorted
+    simd::address_block fresh64_{0};  // the last seal's new /64 bases
+    std::size_t prefixes_ = 0;        // distinct /64s
 };
 
 }  // namespace v6

@@ -1,22 +1,23 @@
-// observation_store.h — per-address day bitmaps for streaming temporal
-// analysis.
+// observation_store.h — per-address day bitmaps: the temporal state of
+// an ongoing census (Section 5.1 "we wish to perform stability analysis
+// on an ongoing basis").
 //
-// daily_series + stability_analyzer answer windowed queries by merging
-// sorted day sets; that is ideal when the question is "classify this
-// reference day". An ongoing census (Section 5.1 "we wish to perform
-// stability analysis on an ongoing basis") instead wants per-address
-// lifetime state that is cheap to update as each day's log arrives. This
-// store keeps, per distinct address, a bitmap of its active days — the
-// design DESIGN.md's ablation #3 compares against merge-based analysis —
-// and derives lifetime spectra, return gaps, and stability classes from
-// it.
+// The store keeps, per distinct address, a bitmap of its active days
+// (first day, last day, one bit per day in between). That is all the
+// paper's temporal classes need: lifetime spectra, return gaps, and the
+// windowed nd-stable split of any reference day — the earliest and
+// latest active day inside the (−back, +fwd) window are one masked read
+// of the bitmap (window()). The stream engine's shards hold no other
+// temporal state; the batch daily_series + stability_analyzer merge
+// sorted day sets instead and stay the oracle.
 //
 // Storage is flat: keys live in two SoA u64 lane arrays (matching the
 // v6::simd block layout), records in a parallel vector, and membership is
-// an open-addressed power-of-two index of u32 slots.  Compared to the
-// former unordered_map<address, record> this removes the per-node heap
-// allocation and pointer chase that made ingest degrade superlinearly
-// once the distinct population outgrew the cache.
+// an open-addressed power-of-two index of u32 slots. A key's slot — its
+// index in first-sighting order — never changes: records are never moved
+// or removed, and a rehash rebuilds only the index. So a caller may keep
+// slots (record_day hands them out) and read the record back with no
+// hash probe.
 #pragma once
 
 #include <cstdint>
@@ -42,7 +43,10 @@ public:
     void record_day(int day, const std::vector<address>& active);
 
     /// Block-path overload: same semantics, no address materialisation.
-    void record_day(int day, const simd::address_block& active);
+    /// With `slots`, appends the record slot of each input key, in input
+    /// order (repeated keys repeat their slot).
+    void record_day(int day, const simd::address_block& active,
+                    std::vector<std::uint32_t>* slots = nullptr);
 
     /// Number of distinct addresses (or prefixes) ever seen.
     std::size_t distinct_count() const noexcept { return recs_.size(); }
@@ -52,6 +56,19 @@ public:
     /// order. Keys past a distinct_count() taken before record_day are
     /// that day's first sightings, in the order of its input.
     void append_keys(simd::address_block& out, std::size_t from) const;
+
+    /// The key (address, or masked prefix base) recorded in `slot`.
+    address key(std::uint32_t slot) const noexcept {
+        return address::from_pair(key_hi_[slot], key_lo_[slot]);
+    }
+
+    /// True when the key in `slot` was active on `day`.
+    bool active_on(std::uint32_t slot, int day) const noexcept;
+
+    /// Earliest and latest day in [lo, hi] on which the key in `slot` was
+    /// active; nullopt when it was active on none of them.
+    std::optional<std::pair<int, int>> window(std::uint32_t slot, int lo,
+                                              int hi) const noexcept;
 
     /// Days on which `a` was active (0 when never seen).
     unsigned days_seen(const address& a) const noexcept;
@@ -98,7 +115,8 @@ private:
 
     static constexpr std::uint32_t kEmptySlot = 0xffffffffu;
 
-    void record_one(int day, std::uint64_t hi, std::uint64_t lo);
+    /// Folds (day, key) into its record; returns the record's slot.
+    std::uint32_t record_one(int day, std::uint64_t hi, std::uint64_t lo);
     std::uint32_t lookup(std::uint64_t hi, std::uint64_t lo) const noexcept;
     /// Batch-reserve: guarantees room for `additional` new records
     /// without further rehashing (one rehash at most, up front). The

@@ -25,6 +25,7 @@
 #include "v6class/temporal/daily_series.h"
 #include "v6class/temporal/observation_store.h"
 #include "v6class/temporal/stability.h"
+#include "v6class/temporal/window.h"
 
 // Streaming ingest.
 #include "v6class/stream/bounded_queue.h"

@@ -297,6 +297,50 @@ EOF
         rm -rf "${smoke}"
         echo "shard invariance passed"
 
+        # Stream vs batch window: the engine reads the windowed split off
+        # its day bitmaps, the batch tool merges day sets. One small world,
+        # written as a corpus and as a capture, classified both ways under
+        # a non-default window: every report whose reference day is in the
+        # corpus must carry v6stable's stable count (--n=1) and active
+        # count (--n=0: every active address is 0d-stable).
+        echo "=== stream vs batch window: v6stream vs v6stable, (-3d,+5d) ==="
+        smoke=$(mktemp -d)
+        ./build/tools/v6synth --out="${smoke}/corpus" \
+            --first=360 --last=373 --scale=0.05 --seed=7
+        ./build/tools/v6synth --wire="${smoke}/feed.v6w" \
+            --first=360 --last=373 --scale=0.05 --seed=7
+        ./build/tools/v6stream --replay="${smoke}/feed.v6w" \
+            --n=1 --back=3 --fwd=5 >"${smoke}/out.json"
+        batch_count() {  # $1=ref day  $2=n: v6stable's printed stable set
+            ./build/tools/v6stable --corpus="${smoke}/corpus" --ref="$1" \
+                --n="$2" --back=3 --fwd=5 --print-stable \
+                | grep -v -c -e '^day ' -e '^  ' || true
+        }
+        checked=0
+        while read -r ref stable active; do
+            [ -f "${smoke}/corpus/day_${ref}.log" ] || continue
+            want_stable=$(batch_count "${ref}" 1)
+            want_active=$(batch_count "${ref}" 0)
+            if [ "${stable}" != "${want_stable}" ] ||
+               [ "${active}" != "${want_active}" ]; then
+                echo "stream vs batch window: ref day ${ref}: stream" \
+                     "${stable}/${active}, batch ${want_stable}/${want_active}" \
+                     "(stable/active)" >&2
+                exit 1
+            fi
+            checked=$((checked + 1))
+        done < <(python3 -c 'import json, sys
+for line in open(sys.argv[1]):
+    r = json.loads(line)
+    if r.get("type") == "day":
+        print(r["ref_day"], r["stable"], r["active"])' "${smoke}/out.json")
+        rm -rf "${smoke}"
+        if [ "${checked}" -ne 9 ]; then
+            echo "stream vs batch window: ${checked} reports checked, want 9" >&2
+            exit 1
+        fi
+        echo "stream vs batch window passed (${checked} reference days)"
+
         # PMU smoke: replay a wire capture with --pmu-out and check the
         # exit snapshot end to end. On a box with hardware counters the
         # ingest sites must show a positive IPC; anywhere else the

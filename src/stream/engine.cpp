@@ -48,6 +48,29 @@ inline std::uint64_t fnv1a_p64(std::uint64_t hi) noexcept {
     return fnv1a_fold(kFnvBasis, hi, 0, 8);
 }
 
+/// Merges sorted sequences whose /64s are disjoint — the shards' — into
+/// one sorted order by interleaving whole /64 groups: repeatedly the
+/// group at the lowest head. sizes[i] is sequence i's length, hi(i, k)
+/// the hi lane of its element k, and emit(i, k) takes that element.
+template <class Hi, class Emit>
+void interleave_p64_groups(const std::vector<std::size_t>& sizes, Hi&& hi,
+                           Emit&& emit) {
+    const std::size_t parts = sizes.size();
+    std::vector<std::size_t> at(parts, 0);
+    for (;;) {
+        std::size_t best = parts;
+        for (std::size_t i = 0; i < parts; ++i)
+            if (at[i] < sizes[i] &&
+                (best == parts || hi(i, at[i]) < hi(best, at[best])))
+                best = i;
+        if (best == parts) return;
+        const std::uint64_t group = hi(best, at[best]);
+        do {
+            emit(best, at[best]);
+        } while (++at[best] < sizes[best] && hi(best, at[best]) == group);
+    }
+}
+
 }  // namespace
 
 void stream_engine::init_metrics() {
@@ -226,7 +249,7 @@ stream_engine::stream_engine(stream_config cfg)
     coarse_counts_.resize(coarse_classes_.size());
     for (unsigned i = 0; i < cfg_.shards; ++i) {
         staging_.emplace_back(cfg_.batch_size);
-        shards_.push_back(std::make_unique<stream_shard>(fine));
+        shards_.push_back(std::make_unique<stream_shard>(fine, cfg_.window));
         queues_.push_back(
             std::make_unique<bounded_queue<shard_message>>(cfg_.queue_capacity));
     }
@@ -463,12 +486,11 @@ void stream_engine::roll_loop() {
             std::unique_lock state(state_mutex_);
             // Shards share no sealed state, so each seals as one pool
             // task; the workers are parked, so nothing else touches them.
-            std::vector<seal_mark> seen(shards_.size());
+            std::vector<std::size_t> seen(shards_.size());
             par::run_indexed(shards_.size(), [&](std::size_t i) {
                 obs::span shard_span("shard.seal");
                 obs::pmu_scope shard_pmu("shard.seal");
-                seen[i] = {shards_[i]->distinct_addresses(),
-                           shards_[i]->distinct_prefixes()};
+                seen[i] = shards_[i]->distinct_addresses();
                 shards_[i]->seal_day(day);
             });
             merge_prefix_run(seen);
@@ -548,25 +570,19 @@ day_report stream_engine::build_report(int day) const {
     day_report report;
     report.day = day;
     report.ref_day = day - cfg_.window.window_fwd;
-    // Per-shard classification fans out through the work pool; the sums
-    // below are order-independent, so the totals match the serial path.
-    struct shard_tally {
-        std::uint64_t stable = 0;
-        std::uint64_t not_stable = 0;
-        std::uint64_t distinct = 0;
-    };
-    const std::vector<shard_tally> tallies =
-        par::map_indexed<shard_tally>(shards_.size(), [&](std::size_t i) {
-            const stability_split split = shards_[i]->classify_day(
-                report.ref_day, cfg_.stability_n, cfg_.window);
-            return shard_tally{split.stable.size(), split.not_stable.size(),
-                               shards_[i]->distinct_addresses()};
-        });
-    for (const shard_tally& t : tallies) {
-        report.stable += t.stable;
-        report.not_stable += t.not_stable;
-        report.distinct_addresses += t.distinct;
+    // Per-shard classification fans out through the work pool, counting
+    // only; the sums below are order-independent, so the totals match
+    // the serial path.
+    const std::vector<std::pair<std::uint64_t, std::uint64_t>> tallies =
+        par::map_indexed<std::pair<std::uint64_t, std::uint64_t>>(
+            shards_.size(), [&](std::size_t i) {
+                return shards_[i]->count_day(report.ref_day, cfg_.stability_n);
+            });
+    for (const auto& [stable, not_stable] : tallies) {
+        report.stable += stable;
+        report.not_stable += not_stable;
     }
+    report.distinct_addresses = distinct_addresses_locked();
     report.distinct_projected = distinct_prefixes_locked();
     report.active = report.stable + report.not_stable;
     // Density and the live MRA ratios around the /64 boundary are read
@@ -767,37 +783,26 @@ std::vector<density_count> stream_engine::density_counts_locked() const {
 }
 
 simd::address_block stream_engine::merged_run_locked() const {
-    // Shards partition the /64s, so the merged order interleaves whole
-    // /64 groups: repeatedly take the group at the lowest shard head.
     simd::address_block out(0);
     out.reserve(distinct_addresses_locked());
-    std::vector<std::size_t> at(shards_.size(), 0);
-    for (;;) {
-        const simd::address_block* best = nullptr;
-        std::size_t* pos = nullptr;
-        for (std::size_t i = 0; i < shards_.size(); ++i) {
+    std::vector<std::size_t> sizes;
+    for (const auto& s : shards_) sizes.push_back(s->run().keys().size());
+    interleave_p64_groups(
+        sizes,
+        [&](std::size_t i, std::size_t k) { return shards_[i]->run().keys().hi_at(k); },
+        [&](std::size_t i, std::size_t k) {
             const simd::address_block& keys = shards_[i]->run().keys();
-            if (at[i] < keys.size() &&
-                (!best || keys.hi_at(at[i]) < best->hi_at(*pos))) {
-                best = &keys;
-                pos = &at[i];
-            }
-        }
-        if (!best) return out;
-        const std::uint64_t hi = best->hi_at(*pos);
-        do {
-            out.push_back(hi, best->lo_at(*pos));
-        } while (++*pos < best->size() && best->hi_at(*pos) == hi);
-    }
+            out.push_back(keys.hi_at(k), keys.lo_at(k));
+        });
+    return out;
 }
 
-void stream_engine::merge_prefix_run(const std::vector<seal_mark>& seen) {
-    // Each shard's new /64s are its /64 store's keys past the pre-seal
-    // count; shards partition the /64s, so together they are disjoint
-    // from each other and from the run.
+void stream_engine::merge_prefix_run(const std::vector<std::size_t>& seen) {
+    // Each shard's run merge found its new /64s; shards partition the
+    // /64s, so together they are disjoint from each other and from the
+    // run.
     simd::address_block fresh(0);
-    for (std::size_t i = 0; i < shards_.size(); ++i)
-        shards_[i]->store64().append_keys(fresh, seen[i].prefixes);
+    for (const auto& s : shards_) fresh.append(s->fresh_prefixes());
     simd::sort_block(fresh);
     prefix_run_.merge(fresh);
 
@@ -812,7 +817,7 @@ void stream_engine::merge_prefix_run(const std::vector<seal_mark>& seen) {
         std::vector<std::pair<std::uint64_t, std::uint64_t>> groups;  // (base, m)
         for (std::size_t i = 0; i < shards_.size(); ++i) {
             simd::address_block added(0);
-            shards_[i]->store().append_keys(added, seen[i].addresses);
+            shards_[i]->store().append_keys(added, seen[i]);
             for (std::size_t j = 0; j < added.size(); ++j) {
                 const std::uint64_t base = added.hi_at(j) & mask;
                 if (groups.empty() || groups.back().first != base)
@@ -875,23 +880,29 @@ stream_snapshot stream_engine::snapshot() const {
 stability_split stream_engine::classify_day(int ref_day, unsigned n) const {
     std::shared_lock state(state_mutex_);
     // Shards are disjoint and sealed state is read-locked: classify them
-    // concurrently, then merge in shard order (the final sort makes the
-    // result independent of shard order anyway).
+    // concurrently. Each split comes out sorted and the shards partition
+    // the /64s, so merging interleaves whole /64 groups.
     const std::vector<stability_split> splits =
         par::map_indexed<stability_split>(shards_.size(), [&](std::size_t i) {
-            return shards_[i]->classify_day(ref_day, n, cfg_.window);
+            return shards_[i]->classify_day(ref_day, n);
         });
     obs::span merge_span("merge_splits", obs::span_kind::merge);
-    stability_split merged;
-    for (const stability_split& split : splits) {
-        merged.stable.insert(merged.stable.end(), split.stable.begin(),
-                             split.stable.end());
-        merged.not_stable.insert(merged.not_stable.end(), split.not_stable.begin(),
-                                 split.not_stable.end());
-    }
-    std::sort(merged.stable.begin(), merged.stable.end());
-    std::sort(merged.not_stable.begin(), merged.not_stable.end());
-    return merged;
+    const auto merge = [&](std::vector<address> stability_split::*part) {
+        std::vector<std::size_t> sizes;
+        std::size_t total = 0;
+        for (const stability_split& split : splits) {
+            sizes.push_back((split.*part).size());
+            total += sizes.back();
+        }
+        std::vector<address> out;
+        out.reserve(total);
+        interleave_p64_groups(
+            sizes,
+            [&](std::size_t i, std::size_t k) { return (splits[i].*part)[k].hi(); },
+            [&](std::size_t i, std::size_t k) { out.push_back((splits[i].*part)[k]); });
+        return out;
+    };
+    return {merge(&stability_split::stable), merge(&stability_split::not_stable)};
 }
 
 std::vector<std::uint64_t> stream_engine::stability_spectrum(unsigned max_n) const {

@@ -5,6 +5,7 @@
 #include <cstring>
 #include <tuple>
 
+#include "v6class/obs/timer.h"
 #include "v6class/obs/trace.h"
 #include "v6class/simd/kernels.h"
 
@@ -58,7 +59,8 @@ inline std::pair<std::uint64_t, std::uint64_t> prefix_masks(unsigned p) noexcept
 
 }  // namespace
 
-void sorted_run::merge(const simd::address_block& fresh) {
+void sorted_run::merge(const simd::address_block& fresh,
+                       simd::address_block* new_prefixes) {
     const std::size_t m = fresh.size();
     if (m == 0) return;
     obs::span span("merge_run", obs::span_kind::merge);
@@ -75,6 +77,9 @@ void sorted_run::merge(const simd::address_block& fresh) {
     // MRA: the new keys landing between old neighbours a and b form one
     // group x1..xk; the pair (a, b) stops being adjacent and (a, x1),
     // each (xi, xi+1) and (xk, b) start — where a and b exist.
+    //
+    // New /64s: the run's keys of one /64 are contiguous, so when the
+    // run holds x's /64 one of x's old neighbours is in it.
     //
     // Density: per class n@/p, a /p group of m' new keys spans the old
     // run from x1's insertion point to xk's, all inside the prefix; its
@@ -121,6 +126,9 @@ void sorted_run::merge(const simd::address_block& fresh) {
             if (j > 0 && j < n) --hist_[lane_cpl(rh[j - 1], rl[j - 1], rh[j], rl[j])];
             if (j > 0) ++hist_[lane_cpl(rh[j - 1], rl[j - 1], fh[i], fl[i])];
         }
+        if (new_prefixes && (i == 0 || fh[i - 1] != fh[i]) &&
+            !(j > 0 && rh[j - 1] == fh[i]) && !(j < n && rh[j] == fh[i]))
+            new_prefixes->push_back(fh[i], 0);
         for (std::size_t c = 0; i > 0 && c < scans.size(); ++c) {
             class_scan& sc = scans[c];
             if (((fh[i] ^ fh[sc.first]) & sc.mh) == 0 &&
@@ -151,28 +159,99 @@ void sorted_run::merge(const simd::address_block& fresh) {
     }
 }
 
+stream_shard::stream_shard(std::vector<density_class> classes,
+                           stability_options window)
+    : window_(window), run_(std::move(classes)) {}
+
 void stream_shard::seal_day(int day) {
+    sealed_ = day;
+    fresh64_.clear();
+    // Evict the days a report can no longer ask for; the last evicted
+    // vector's capacity takes today's slots.
+    day_slots today;
+    while (!ring_.empty() && !in_ring_range(ring_.front().day)) {
+        today.slots = std::move(ring_.front().slots);
+        ring_.pop_front();
+    }
     if (pending_.empty()) return;  // a day with no records for this shard
+    first_day_ = std::min(first_day_, day);
 
     // Sort + dedupe the staged lanes in place (radix-partitioned on the
     // hi word); (hi, lo) numeric order is byte-lexicographic address
     // order, so the result is exactly std::sort + std::unique.
-    simd::sort_unique_block(pending_);
-    const std::size_t seen = store128_.distinct_count();
-    store128_.record_day(day, pending_);
-    // The day's /64s are the sorted lanes' distinct hi words.
-    simd::address_block prefixes(0);
-    const std::uint64_t* his = pending_.hi();
-    for (std::size_t i = 0; i < pending_.size(); ++i)
-        if (i == 0 || his[i] != his[i - 1]) prefixes.push_back(his[i], 0);
-    store64_.record_day(day, prefixes);
-    series_.set_day(day, pending_.to_vector());
+    {
+        obs::span sort_span("sort_unique");
+        simd::sort_unique_block(pending_);
+    }
+    // The day's slots come out in the sorted lanes' order.
+    today.day = day;
+    today.slots.clear();
+    const std::size_t seen = store_.distinct_count();
+    store_.record_day(day, pending_, &today.slots);
+    ring_.push_back(std::move(today));
     pending_.clear();
     // The store's keys past its pre-seal count are the day's first
     // sightings, in the sorted order record_day walked them.
     simd::address_block fresh(0);
-    store128_.append_keys(fresh, seen);
-    run_.merge(fresh);
+    store_.append_keys(fresh, seen);
+    run_.merge(fresh, &fresh64_);
+    prefixes_ += fresh64_.size();
+}
+
+template <class Visit>
+void stream_shard::classify_slots(int ref_day, unsigned n, Visit&& visit) const {
+    static const obs::histogram phase = obs::registry::global().get_histogram(
+        "v6_temporal_classify_day_seconds", obs::latency_buckets(), {},
+        "Time to nd-stable-classify one reference day against its window.");
+    const obs::trace_scope span("classify_day", phase);
+    if (ref_day < first_day_ || ref_day > sealed_) return;
+    const auto entry = std::find_if(ring_.begin(), ring_.end(),
+                                    [&](const day_slots& d) { return d.day == ref_day; });
+    const std::vector<std::uint32_t>* slots = entry != ring_.end() ? &entry->slots : nullptr;
+    std::vector<std::uint32_t> scanned;
+    if (!slots) {
+        // Inside the ring's range the day staged no lanes here; older
+        // than the ring, its addresses are found by one pass over the
+        // store, then sorted.
+        if (in_ring_range(ref_day)) return;
+        for (std::uint32_t slot = 0; slot < store_.distinct_count(); ++slot)
+            if (store_.active_on(slot, ref_day)) scanned.push_back(slot);
+        std::sort(scanned.begin(), scanned.end(),
+                  [&](std::uint32_t a, std::uint32_t b) {
+                      return store_.key(a) < store_.key(b);
+                  });
+        slots = &scanned;
+    }
+    // As stability_analyzer: the span of the address's active days in
+    // the window, the reference day itself always among them.
+    const int lo = ref_day - window_.window_back;
+    const int hi = ref_day + window_.window_fwd;
+    const int required_gap = static_cast<int>(n) + window_.slew_tolerance;
+    for (const std::uint32_t slot : *slots) {
+        int first = ref_day, last = ref_day;
+        if (const auto span_days = store_.window(slot, lo, hi)) {
+            first = std::min(first, span_days->first);
+            last = std::max(last, span_days->second);
+        }
+        visit(slot, last - first >= required_gap);
+    }
+}
+
+stability_split stream_shard::classify_day(int ref_day, unsigned n) const {
+    stability_split out;
+    classify_slots(ref_day, n, [&](std::uint32_t slot, bool stable) {
+        (stable ? out.stable : out.not_stable).push_back(store_.key(slot));
+    });
+    return out;
+}
+
+std::pair<std::uint64_t, std::uint64_t> stream_shard::count_day(int ref_day,
+                                                                unsigned n) const {
+    std::pair<std::uint64_t, std::uint64_t> out{0, 0};
+    classify_slots(ref_day, n, [&](std::uint32_t, bool stable) {
+        ++(stable ? out.first : out.second);
+    });
+    return out;
 }
 
 }  // namespace v6

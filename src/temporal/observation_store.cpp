@@ -124,8 +124,8 @@ void observation_store::reserve_for(std::size_t additional) {
     }
 }
 
-void observation_store::record_one(int day, std::uint64_t hi,
-                                   std::uint64_t lo) {
+std::uint32_t observation_store::record_one(int day, std::uint64_t hi,
+                                            std::uint64_t lo) {
     const std::size_t mask = index_.size() - 1;
     std::size_t slot = hash_pair(hi, lo) & mask;
     std::uint32_t idx;
@@ -140,7 +140,7 @@ void observation_store::record_one(int day, std::uint64_t hi,
             fresh.first_day = day;
             fresh.last_day = day;
             fresh.set_bit(0);
-            return;
+            return idx;
         }
         if (key_hi_[idx] == hi && key_lo_[idx] == lo) break;
         slot = (slot + 1) & mask;
@@ -154,6 +154,7 @@ void observation_store::record_one(int day, std::uint64_t hi,
         r.set_bit(static_cast<unsigned>(day - r.first_day));
     }
     r.last_day = std::max(r.last_day, day);
+    return idx;
 }
 
 void observation_store::record_day(int day, const std::vector<address>& active) {
@@ -169,7 +170,8 @@ void observation_store::record_day(int day, const std::vector<address>& active) 
     }
 }
 
-void observation_store::record_day(int day, const simd::address_block& active) {
+void observation_store::record_day(int day, const simd::address_block& active,
+                                    std::vector<std::uint32_t>* slots) {
     static const obs::histogram phase = obs::registry::global().get_histogram(
         "v6_temporal_record_day_seconds", obs::latency_buckets(), {},
         "Time to fold one day of active addresses into the lifetime store.");
@@ -177,10 +179,12 @@ void observation_store::record_day(int day, const simd::address_block& active) {
     reserve_for(active.size());
     const std::uint64_t* his = active.hi();
     const std::uint64_t* los = active.lo();
+    if (slots) slots->reserve(slots->size() + active.size());
     for (std::size_t i = 0; i < active.size(); ++i) {
         std::uint64_t hi = his[i], lo = los[i];
         mask_pair(hi, lo, prefix_length_);
-        record_one(day, hi, lo);
+        const std::uint32_t slot = record_one(day, hi, lo);
+        if (slots) slots->push_back(slot);
     }
 }
 
@@ -189,6 +193,45 @@ void observation_store::append_keys(simd::address_block& out,
     out.reserve(out.size() + key_hi_.size() - std::min(from, key_hi_.size()));
     for (std::size_t i = from; i < key_hi_.size(); ++i)
         out.push_back(key_hi_[i], key_lo_[i]);
+}
+
+bool observation_store::active_on(std::uint32_t slot, int day) const noexcept {
+    const record& r = recs_[slot];
+    return day >= r.first_day && day <= r.last_day &&
+           r.get_bit(static_cast<unsigned>(day - r.first_day));
+}
+
+std::optional<std::pair<int, int>> observation_store::window(
+    std::uint32_t slot, int lo, int hi) const noexcept {
+    const record& r = recs_[slot];
+    // Clipped to the record's own span, the window's words all exist:
+    // last_day's bit is set, so the bitmap reaches its word.
+    lo = std::max(lo, r.first_day);
+    hi = std::min(hi, r.last_day);
+    if (lo > hi) return std::nullopt;
+    const auto a = static_cast<unsigned>(lo - r.first_day);
+    const auto b = static_cast<unsigned>(hi - r.first_day);
+    // Word w of the bitmap with the bits outside offsets [a, b] cleared.
+    const auto word = [&](unsigned w) {
+        std::uint64_t bits = w == 0 ? r.inline_bits : (*r.overflow)[w - 1];
+        if (w == a / 64) bits &= ~0ull << (a % 64);
+        if (w == b / 64) bits &= ~0ull >> (63 - b % 64);
+        return bits;
+    };
+    if (b < 64) {  // the common case: the window lies in word 0
+        const std::uint64_t bits = word(0);
+        if (bits == 0) return std::nullopt;
+        return std::make_pair(r.first_day + std::countr_zero(bits),
+                              r.first_day + 63 - std::countl_zero(bits));
+    }
+    unsigned first = a / 64;
+    while (first <= b / 64 && word(first) == 0) ++first;
+    if (first > b / 64) return std::nullopt;
+    unsigned last = b / 64;
+    while (word(last) == 0) --last;
+    return std::make_pair(
+        r.first_day + static_cast<int>(first * 64) + std::countr_zero(word(first)),
+        r.first_day + static_cast<int>(last * 64) + 63 - std::countl_zero(word(last)));
 }
 
 unsigned observation_store::days_seen(const address& a) const noexcept {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <set>
 
 #include "v6class/netgen/rng.h"
 #include "v6class/temporal/observation_store.h"
@@ -156,6 +157,94 @@ TEST(ObservationStoreTest, KeysPastAPreviousCountAreTheDaysFirstSightings) {
     simd::address_block none(0);
     store.append_keys(none, store.distinct_count());
     EXPECT_TRUE(none.empty());
+}
+
+TEST(ObservationStoreTest, RecordDaySlotsFollowTheInputKeys) {
+    observation_store store;
+    store.record_day(10, {nth(7), nth(3)});
+    simd::address_block day(0);
+    for (const unsigned i : {1u, 3u, 3u, 5u, 7u, 9u}) day.push_back(nth(i));
+    std::vector<std::uint32_t> slots = {42};  // appended to, not replaced
+    store.record_day(11, day, &slots);
+    ASSERT_EQ(slots.size(), day.size() + 1);
+    EXPECT_EQ(slots.front(), 42u);
+    for (std::size_t i = 0; i < day.size(); ++i)
+        EXPECT_EQ(store.key(slots[i + 1]), day.to_vector()[i]) << i;
+    // Old keys keep their first-sighting slots; new ones follow.
+    EXPECT_EQ(slots[2], 1u);  // nth(3)
+    EXPECT_EQ(slots[5], 0u);  // nth(7)
+    EXPECT_EQ(slots[1], 2u);  // nth(1)
+    // A slot outlives the rehashes of a growing store.
+    simd::address_block many(0);
+    for (unsigned i = 100; i < 5000; ++i) many.push_back(nth(i));
+    store.record_day(12, many);
+    EXPECT_EQ(store.key(slots[2]), nth(3));
+    EXPECT_TRUE(store.active_on(slots[2], 10));
+    EXPECT_TRUE(store.active_on(slots[2], 11));
+    EXPECT_FALSE(store.active_on(slots[2], 12));
+}
+
+// The window read against a brute-force scan of each address's active
+// days, over spans far past one 64-day word and after earlier days were
+// recorded last (each rebasing the bitmaps).
+TEST(ObservationStoreTest, WindowMatchesBruteForceScan) {
+    constexpr unsigned kAddrs = 48;
+    constexpr int kDays = 230;
+    rng r{77};
+    std::vector<std::set<int>> active(kAddrs);
+    std::vector<std::pair<int, simd::address_block>> schedule;
+    for (int day = 0; day < kDays; ++day) {
+        simd::address_block block(0);
+        for (unsigned i = 0; i < kAddrs; ++i) {
+            // Address 0 is active once (no overflow words); the others
+            // with rising density, some almost every day.
+            const bool on = i == 0 ? day == 150 : r.chance(0.02 * (i % 8) + 0.01);
+            if (!on) continue;
+            block.push_back(nth(i));
+            active[i].insert(day);
+        }
+        if (!block.empty()) schedule.emplace_back(day, std::move(block));
+    }
+    // Record the later half first, then the earlier half newest first:
+    // every early day arrives after later ones and shifts the record.
+    std::stable_partition(schedule.begin(), schedule.end(),
+                          [](const auto& e) { return e.first >= kDays / 2; });
+    std::reverse(std::find_if(schedule.begin(), schedule.end(),
+                              [](const auto& e) { return e.first < kDays / 2; }),
+                 schedule.end());
+    observation_store store;
+    std::vector<std::uint32_t> slot_of(kAddrs, 0);
+    for (const auto& [day, block] : schedule) {
+        std::vector<std::uint32_t> slots;
+        store.record_day(day, block, &slots);
+        for (std::size_t k = 0; k < block.size(); ++k)
+            slot_of[block.lo_at(k) - 0x5000u] = slots[k];
+    }
+    ASSERT_GT(active[7].size(), 20u);
+    ASSERT_GT(*active[7].rbegin() - *active[7].begin(), 128);
+
+    for (unsigned i = 0; i < kAddrs; ++i) {
+        if (active[i].empty()) continue;
+        const std::uint32_t slot = slot_of[i];
+        ASSERT_EQ(store.key(slot), nth(i));
+        for (int day = -3; day < kDays + 3; ++day)
+            EXPECT_EQ(store.active_on(slot, day), active[i].count(day) == 1)
+                << i << " day " << day;
+        for (int lo = -70; lo < kDays + 10; lo += 9)
+            for (const int width : {0, 1, 14, 63, 64, 65, 127, 128, 200, 400}) {
+                const int hi = lo + width;
+                const auto first = active[i].lower_bound(lo);
+                const auto got = store.window(slot, lo, hi);
+                if (first == active[i].end() || *first > hi) {
+                    EXPECT_FALSE(got.has_value()) << i << " [" << lo << ", " << hi << "]";
+                    continue;
+                }
+                const int last = *std::prev(active[i].upper_bound(hi));
+                ASSERT_TRUE(got.has_value()) << i << " [" << lo << ", " << hi << "]";
+                EXPECT_EQ(got->first, *first) << i << " [" << lo << ", " << hi << "]";
+                EXPECT_EQ(got->second, last) << i << " [" << lo << ", " << hi << "]";
+            }
+    }
 }
 
 TEST(ObservationStoreTest, SpectrumIsMonotoneAndAnchored) {

@@ -9,6 +9,11 @@
 // plus engine-level state for what straddles their /64s (the splits
 // above /64, and density classes with p < 64).
 //
+// The stability splits are checked at reference days before the feed,
+// older than the engine's ring of recent days (answered by a store
+// scan), inside it, on a day gap and after the last day, under the
+// default window and non-default ones.
+//
 // Two feeds: a >=100k-record one drawn from a fixed pool (which
 // saturates, so late days add few new addresses), and one whose
 // distinct set grows every day around and inside what is already
@@ -121,6 +126,56 @@ std::vector<int> feed_days(const std::vector<stream_record>& feed) {
     return days;
 }
 
+// The feed's days as a batch daily series.
+daily_series series_of(const std::vector<stream_record>& feed) {
+    daily_series series;
+    for (const int day : feed_days(feed)) {
+        std::vector<address> active;
+        for (const stream_record& rec : feed)
+            if (rec.day == day) active.push_back(rec.addr);
+        series.set_day(day, active);
+    }
+    return series;
+}
+
+// The reference days checked: before the feed, its first day, two days
+// older than a default window's ring (front + 5 is the growing feed's
+// gap day), two inside it, the last day, and after it.
+std::vector<int> reference_days(const std::vector<int>& days) {
+    const int front = days.front(), back = days.back();
+    return {front - 1, front, front + 2, front + 5,
+            front + 7, front + 10, back, back + 1};
+}
+
+// The engine's windowed splits, and the counts in its day reports, are
+// byte-identical to stability_analyzer's under the engine's window.
+void expect_same_splits(const stream_engine& engine, const daily_series& series,
+                        const std::vector<int>& days) {
+    const stream_config& cfg = engine.config();
+    const std::string win = "back=" + std::to_string(cfg.window.window_back) +
+                            " fwd=" + std::to_string(cfg.window.window_fwd) +
+                            " slew=" + std::to_string(cfg.window.slew_tolerance);
+    const stability_analyzer an(series, cfg.window);
+    for (const int ref : reference_days(days))
+        for (const unsigned n : {1u, 3u, 7u}) {
+            const stability_split want = an.classify_day(ref, n);
+            const stability_split got = engine.classify_day(ref, n);
+            EXPECT_EQ(got.stable, want.stable) << win << " ref=" << ref << " n=" << n;
+            EXPECT_EQ(got.not_stable, want.not_stable)
+                << win << " ref=" << ref << " n=" << n;
+        }
+    const auto reports = engine.reports();
+    ASSERT_EQ(reports.size(), days.size()) << win;
+    for (const day_report& rep : reports) {
+        const std::string at = win + " day=" + std::to_string(rep.day);
+        EXPECT_EQ(rep.ref_day, rep.day - cfg.window.window_fwd) << at;
+        const stability_split want = an.classify_day(rep.ref_day, cfg.stability_n);
+        EXPECT_EQ(rep.stable, want.stable.size()) << at;
+        EXPECT_EQ(rep.not_stable, want.not_stable.size()) << at;
+        EXPECT_EQ(rep.active, want.stable.size() + want.not_stable.size()) << at;
+    }
+}
+
 // The reference pipeline: the batch substrate fed whole days at a time.
 struct batch_state {
     daily_series series;
@@ -201,16 +256,8 @@ void expect_stream_matches_batch(const std::vector<stream_record>& feed,
     EXPECT_EQ(stats.distinct_projected, batch.store64.distinct_count());
     EXPECT_EQ(engine.distinct_addresses(), batch.distinct);
 
-    // Windowed stability splits: byte-identical address vectors.
-    const stability_analyzer an(batch.series);
-    for (const int ref : {days.front() + 7, days.front() + 10})
-        for (const unsigned n : {1u, 3u, 7u}) {
-            const stability_split want = an.classify_day(ref, n);
-            const stability_split got = engine.classify_day(ref, n);
-            EXPECT_EQ(got.stable, want.stable) << "ref=" << ref << " n=" << n;
-            EXPECT_EQ(got.not_stable, want.not_stable)
-                << "ref=" << ref << " n=" << n;
-        }
+    // Windowed stability splits, and the day reports' counts.
+    expect_same_splits(engine, batch.series, days);
 
     // Lifetime spectrum.
     EXPECT_EQ(engine.stability_spectrum(14), batch.store128.stability_spectrum(14));
@@ -230,19 +277,10 @@ void expect_stream_matches_batch(const std::vector<stream_record>& feed,
     for (unsigned p = 0; p <= 128; ++p)
         EXPECT_EQ(got_mra.aggregate_count(p), want_mra.aggregate_count(p)) << p;
 
-    // The day reports produced along the way agree with batch counts,
-    // and their density rows and MRA ratios with the trie over the
-    // distinct addresses of the days sealed by then.
-    const auto reports = engine.reports();
-    ASSERT_EQ(reports.size(), days.size());
-    for (const day_report& rep : reports) {
+    // The day reports' density rows and MRA ratios agree with the trie
+    // over the distinct addresses of the days sealed by then.
+    for (const day_report& rep : engine.reports()) {
         const std::string at = "day=" + std::to_string(rep.day);
-        EXPECT_EQ(rep.ref_day, rep.day - cfg.window.window_fwd);
-        const stability_split want = an.classify_day(rep.ref_day, cfg.stability_n);
-        EXPECT_EQ(rep.stable, want.stable.size()) << at;
-        EXPECT_EQ(rep.not_stable, want.not_stable.size()) << at;
-        EXPECT_EQ(rep.active, want.stable.size() + want.not_stable.size());
-
         const radix_tree tree = tree_through(feed, rep.day);
         expect_same_rows(rep.density, compute_density_table(tree, classes), at);
         const mra_series mra = compute_mra_from_trie(tree);
@@ -308,6 +346,27 @@ TEST_P(StreamDifferential, GrowingFeedReproducesBatchExactly) {
 
     expect_stream_matches_batch(feed, GetParam(), kGrowClasses,
                                 {{2, 112}, {1, 56}});
+}
+
+// Non-default windows — short, backward-only, and with slew tolerance —
+// over both feeds: a one-day ring (fwd 0) answers every earlier day by
+// the store scan.
+TEST_P(StreamDifferential, WindowsReproduceBatchExactly) {
+    for (const std::vector<stream_record>& feed : {make_feed(), make_growing_feed()}) {
+        const daily_series series = series_of(feed);
+        const std::vector<int> days = feed_days(feed);
+        for (const stability_options window : {stability_options{3, 2, 0},
+                                               stability_options{10, 0, 0},
+                                               stability_options{7, 7, 1}}) {
+            stream_config cfg;
+            cfg.shards = GetParam();
+            cfg.window = window;
+            stream_engine engine(cfg);
+            for (const stream_record& rec : feed) engine.push(rec);
+            engine.finish();
+            expect_same_splits(engine, series, days);
+        }
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(ShardCounts, StreamDifferential,
