@@ -118,9 +118,10 @@ inline options parse_options(int argc, char** argv, double default_scale = 0.5) 
     return opt;
 }
 
-/// RAII timer for a named section of a driver. Feeds the process-wide
-/// registry (one v6_bench_phase_seconds series per phase label) and the
-/// Chrome trace, so BENCH_<name>.json and the tools' --metrics-out share
+/// RAII timer for a named section of a driver: one obs::span that
+/// feeds the process-wide registry (one v6_bench_phase_seconds series
+/// per phase label), the Chrome trace and, under --pmu-out, the PMU
+/// site totals, so BENCH_<name>.json and the tools' --metrics-out share
 /// one schema.
 class timed_phase {
 public:
@@ -131,7 +132,7 @@ public:
                           "Wall time of one named bench-driver phase.")) {}
 
 private:
-    obs::trace_scope span_;
+    obs::span span_;
 };
 
 inline world_config world_cfg(const options& opt) {

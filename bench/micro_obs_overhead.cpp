@@ -11,7 +11,6 @@
 
 #include "v6class/netgen/rng.h"
 #include "v6class/obs/metrics.h"
-#include "v6class/obs/timer.h"
 #include "v6class/stream/engine.h"
 
 namespace {
@@ -100,16 +99,6 @@ void BM_null_handles(benchmark::State& state) {
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_null_handles);
-
-// phase_timer on a null histogram skips the clock reads entirely.
-void BM_null_phase_timer(benchmark::State& state) {
-    for (auto _ : state) {
-        const obs::phase_timer t{obs::histogram{}};
-        benchmark::ClobberMemory();
-    }
-    state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_null_phase_timer);
 
 }  // namespace
 

@@ -2,12 +2,13 @@
 // paths the acceptance criteria name: streaming ingest (1M records
 // through the sharded engine) and trie densify (1M addresses). Each
 // pair runs the identical pipeline with the tracer disabled (/0) and
-// enabled (/1); the /1 rate must stay within 3% of /0, and the
-// disabled-span primitives at the bottom price the /0 residue (a
-// relaxed load + branch, sub-nanosecond). The pmu pair prices
-// obs::pmu_scope the same way (two perf read(2)s per batch when armed;
-// the same relaxed load + branch when not). Dumps BENCH_trace.json via
-// the shared registry reporter.
+// enabled (/1); the /1 rate must stay within 3% of /0, and the scope
+// primitives at the bottom price the one obs::span disabled (the /0
+// residue: a relaxed load + branch per gate, sub-nanosecond) and fully
+// enabled. The pmu pair prices the span's PMU counting the same way
+// (two perf read(2)s per span when armed; the same relaxed load +
+// branch when not). Dumps BENCH_trace.json via the shared registry
+// reporter.
 #include <benchmark/benchmark.h>
 
 #include <vector>
@@ -35,7 +36,7 @@ public:
     ~tracer_toggle() { obs::tracer::reset(); }
 };
 
-/// Same idea for pmu_scope collection; restores the prior state so the
+/// Same idea for PMU counting; restores the prior state so the
 /// other benchmarks keep whatever run_gbench_main armed.
 class pmu_toggle {
 public:
@@ -107,11 +108,12 @@ void BM_stream_ingest_trace(benchmark::State& state) {
 }
 BENCHMARK(BM_stream_ingest_trace)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
-// Arg(0): 1 = pmu_scope deltas collected, 0 = off. The identical
-// 1M-record ingest with the tracer quiet, so the pair isolates the
-// counter-scope cost on shard.ingest_batch/shard.seal/par.task. The
+// Arg(0): 1 = PMU deltas collected, 0 = off. The identical 1M-record
+// ingest with the tracer quiet, so the pair isolates the cost of
+// counting every span site (shard.ingest_batch, par.task and the
+// per-seal sites). The
 // acceptance bar (scripts/check.sh): /1 within 5% of /0. Where no PMU
-// is exposed the scopes no-op and the pair measures the same code.
+// is exposed counting no-ops and the pair measures the same code.
 void BM_stream_ingest_pmu(benchmark::State& state) {
     const auto feed = make_feed(250000, 4, 99);
     const tracer_toggle quiet(false);
@@ -150,50 +152,35 @@ void BM_densify_trace(benchmark::State& state) {
 }
 BENCHMARK(BM_densify_trace)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
-// The primitives in isolation: a disabled span is one relaxed load and
-// a branch; an enabled span adds two clock reads and a seqlock write
-// into the calling thread's ring.
-void BM_span_disabled(benchmark::State& state) {
-    const tracer_toggle toggle(false);
+// The one scope in isolation. Disabled: tracer and PMU off, no
+// histogram — one relaxed load and a branch per gate, no clock read.
+// Enabled: everything a site can ask for — a traced span (two clock
+// reads and a seqlock write into the calling thread's ring), the PMU
+// site delta (two group read(2)s where the probe succeeded) and a
+// histogram observation (two more clock reads).
+void BM_scope_disabled(benchmark::State& state) {
+    const tracer_toggle tracer(false);
+    const pmu_toggle pmu(false);
     for (auto _ : state) {
         const obs::span span("bench.noop");
         benchmark::ClobberMemory();
     }
     state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_span_disabled);
+BENCHMARK(BM_scope_disabled);
 
-void BM_span_enabled(benchmark::State& state) {
-    const tracer_toggle toggle(true);
+void BM_scope_enabled(benchmark::State& state) {
+    obs::registry reg;
+    const obs::histogram h = reg.get_histogram("bench_scope_seconds");
+    const tracer_toggle tracer(true);
+    const pmu_toggle pmu(true);
     for (auto _ : state) {
-        const obs::span span("bench.hot");
+        const obs::span span("bench.hot", h);
         benchmark::ClobberMemory();
     }
     state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_span_enabled);
-
-void BM_pmu_scope_disabled(benchmark::State& state) {
-    const pmu_toggle toggle(false);
-    for (auto _ : state) {
-        const obs::pmu_scope scope("bench.pmu_noop");
-        benchmark::ClobberMemory();
-    }
-    state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_pmu_scope_disabled);
-
-void BM_pmu_scope_enabled(benchmark::State& state) {
-    // Two group read(2)s per scope where the probe succeeded; identical
-    // to the disabled case where it did not.
-    const pmu_toggle toggle(true);
-    for (auto _ : state) {
-        const obs::pmu_scope scope("bench.pmu_hot");
-        benchmark::ClobberMemory();
-    }
-    state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_pmu_scope_enabled);
+BENCHMARK(BM_scope_enabled);
 
 void BM_context_scope_enabled(benchmark::State& state) {
     const tracer_toggle toggle(true);

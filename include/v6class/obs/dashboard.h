@@ -10,6 +10,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "v6class/obs/event_log.h"
@@ -110,5 +111,9 @@ std::string render_dashboard(const dashboard_model& model);
 /// format_double-style value formatting for tiles: integers stay
 /// integral, everything else gets 4 significant digits.
 std::string dashboard_value(double v);
+
+/// HTML text escaping for the metacharacters that matter (& < > ").
+/// The one HTML escaper of the obs pages (dashboard, /pmu).
+std::string html_escape(std::string_view s);
 
 }  // namespace v6::obs

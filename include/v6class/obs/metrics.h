@@ -31,6 +31,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -199,6 +200,11 @@ private:
 /// Default bucket bounds for latency histograms: 1us .. ~10s,
 /// roughly x4 per bucket.
 std::vector<double> latency_buckets();
+
+/// The body of a JSON string literal holding `s` (RFC 8259 §7): quote,
+/// backslash and every control character escaped. The one escaper of
+/// every obs JSON writer.
+std::string json_escape(std::string_view s);
 
 /// A set of named time series. get_* interns (name, labels) under the
 /// registry mutex and returns a stable handle; repeated registration of

@@ -5,11 +5,12 @@
 // scaled for multiplexing via time_enabled/time_running.
 //
 // Three integration surfaces:
-//   * pmu_scope — opt-in RAII companion to obs::span that attributes
-//     counter deltas to a named site ("shard.ingest_batch", "par.task",
-//     ...). Sites accumulate process-wide; derived rates (IPC,
-//     cache-miss rate, branch-miss rate) export through the metrics
-//     registry into /metrics, the tsdb, and the dashboard.
+//   * sites — while counting is armed, every obs::span (trace.h)
+//     attributes its counter delta to the site named like the span
+//     ("shard.ingest_batch", "par.task", "seal_day", ...). Sites
+//     accumulate process-wide; derived rates (IPC, cache-miss rate,
+//     branch-miss rate) export through the metrics registry into
+//     /metrics, the tsdb, and the dashboard.
 //   * thread/site snapshots — the /pmu endpoint and --pmu-out dumps
 //     render a per-thread topdown-style table from snapshot_json() /
 //     topdown_html().
@@ -25,10 +26,12 @@
 // The v6class_pmu_available gauge carries the tier and the reason, so
 // a dump from a locked-down container explains itself.
 //
-// Disabled cost mirrors the tracer: constructing a pmu_scope while
-// counting is off is one relaxed atomic load and a branch. Enabled
-// cost is two read(2) syscalls per scope (~1-2 us), so scopes belong
-// on batch-grained paths, not per-record ones.
+// Disabled cost mirrors the tracer: a span pays one relaxed atomic
+// load and a branch for this gate while counting is off. Armed cost is
+// two read(2) syscalls per span (~1-2 us), so spans belong on
+// batch-grained paths, not per-record ones. Each thread's counter
+// group hangs off its entry in the obs thread registry (name_thread in
+// trace.h) and is opened on the thread's first read.
 #pragma once
 
 #include <array>
@@ -78,7 +81,7 @@ struct availability {
 /// the syscall at all.
 const availability& available();
 
-/// Arms pmu_scope delta collection. No-op (stays disabled) when
+/// Arms per-span delta collection. No-op (stays disabled) when
 /// available().counting() is false, so callers need no guard.
 void enable() noexcept;
 void disable() noexcept;
@@ -118,7 +121,7 @@ struct sample {
 /// false when the group cannot be opened or read.
 sample read_current() noexcept;
 
-/// Accumulated deltas of one pmu_scope site. Totals are multiplexing-
+/// Accumulated deltas of one span site. Totals are multiplexing-
 /// scaled at scope end; nested scopes both count their overlap (the
 /// outer span includes the inner, exactly like span durations).
 struct site_stats {
@@ -141,7 +144,7 @@ struct site_stats {
     double branch_miss_rate() const noexcept;
 };
 
-/// Every site that has recorded at least one scope, registration order.
+/// Every site that has recorded at least one span, registration order.
 std::vector<site_stats> site_snapshot();
 
 /// One named site's totals (zeros when the site never recorded).
@@ -149,8 +152,8 @@ site_stats site_totals(const char* name);
 
 /// One live thread's current cumulative counters.
 struct thread_sample {
-    std::string name;  ///< from note_thread_name, else "tid-<n>"
-    std::uint32_t tid = 0;
+    std::string name;  ///< from name_thread, else "tid-<n>"
+    std::uint32_t tid = 0;  ///< the obs thread number (trace "tid")
     sample s;
 };
 
@@ -158,10 +161,6 @@ struct thread_sample {
 /// (perf fds are readable cross-thread). Threads appear once they
 /// have opened a group; exited threads drop out.
 std::vector<thread_sample> thread_snapshot();
-
-/// Names the calling thread in /pmu output. tracer::set_thread_name
-/// forwards here, so pool/stream workers are named with no extra call.
-void note_thread_name(const std::string& name);
 
 /// Full snapshot (mode, reason, threads, sites) as JSON — the /pmu
 /// endpoint body and the --pmu-out file format.
@@ -179,12 +178,12 @@ void export_gauges(registry& reg);
 /// Test hook: closes the calling thread's group, forgets all sites and
 /// the cached probe (so V6CLASS_DISABLE_PMU set after startup takes
 /// effect), and disables counting. Not thread-safe against concurrent
-/// scopes — tests only.
+/// spans — tests only.
 void reset_for_test();
 
 namespace detail {
-// Hot-path gate, exposed so pmu_scope inlines to one relaxed load and
-// a branch while counting is off (the common case).
+// Hot-path gate, exposed so obs::span inlines it to one relaxed load
+// and a branch while counting is off (the common case).
 extern std::atomic<bool> pmu_enabled;
 struct site_rec;
 site_rec* intern_site(const char* name) noexcept;
@@ -192,30 +191,5 @@ void scope_end(site_rec* site, const sample& begin) noexcept;
 }  // namespace detail
 
 }  // namespace pmu
-
-/// RAII counter-delta scope: reads the thread's group at construction
-/// and destruction and adds the multiplexing-scaled delta to `site`'s
-/// totals. `site` must be a string literal (interned by pointer, then
-/// by content). No-op unless pmu::enable() has been called and the
-/// probe succeeded.
-class pmu_scope {
-public:
-    explicit pmu_scope(const char* site) noexcept {
-        if (pmu::detail::pmu_enabled.load(std::memory_order_relaxed))
-            begin(site);
-    }
-    ~pmu_scope() {
-        if (site_) pmu::detail::scope_end(site_, begin_);
-    }
-
-    pmu_scope(const pmu_scope&) = delete;
-    pmu_scope& operator=(const pmu_scope&) = delete;
-
-private:
-    void begin(const char* site) noexcept;
-
-    pmu::detail::site_rec* site_ = nullptr;
-    pmu::sample begin_{};
-};
 
 }  // namespace v6::obs

@@ -1,15 +1,16 @@
 // profile.h — sampling self-profiler: a sampler thread periodically
-// signals registered threads (SIGPROF), whose handler captures a
-// backtrace into a per-thread preallocated sample buffer; export
-// collapses the samples into folded-stack text for flamegraph.pl or
-// speedscope ("thread;frame;frame count" lines).
+// signals the threads of the obs thread registry (SIGPROF), whose
+// handler captures a backtrace into a per-thread preallocated sample
+// buffer; export collapses the samples into folded-stack text for
+// flamegraph.pl or speedscope ("thread;frame;frame count" lines).
 //
-// Threads opt in with register_thread() (the pool and stream workers
-// do this on startup; start() registers the calling thread). A
-// thread_local guard unregisters automatically at thread exit, before
-// the thread id can dangle. The handler is async-signal-safe: it calls
-// only ::backtrace() (warmed at start()) and relaxed atomic stores into
-// a fixed-size buffer; symbolization happens at export time on the
+// A thread is sampled once it is in the registry: obs::name_thread()
+// (trace.h; the pool and stream workers call it on startup) registers
+// it and names its stacks, and start() registers the calling thread.
+// The registry's thread-exit holder stops sampling a thread before its
+// id can dangle. The handler is async-signal-safe: it calls only
+// ::backtrace() (warmed at start()) and relaxed atomic stores into a
+// fixed-size buffer; symbolization happens at export time on the
 // reader.
 //
 // On platforms without <execinfo.h> the profiler compiles to no-ops
@@ -34,8 +35,9 @@ public:
 
     /// Starts sampling at `hz` samples/second/thread (default 97 — a
     /// prime, so sampling does not beat against periodic work). The
-    /// calling thread is registered. Returns false if profiling is
-    /// unsupported on this platform or a profiler is already running.
+    /// calling thread is registered, named "main" unless it has a
+    /// name. Returns false if profiling is unsupported on this platform
+    /// or a profiler is already running.
     static bool start(unsigned hz = 97);
 
     /// Stops the sampler thread. Collected samples are kept for
@@ -44,15 +46,11 @@ public:
 
     static bool running() noexcept;
 
-    /// Opts the calling thread into sampling and names its stacks.
-    /// Idempotent per thread (the last name wins). Cheap when the
-    /// profiler never starts.
-    static void register_thread(const std::string& name);
-
     /// Total samples captured since the last start().
     static std::uint64_t sample_count() noexcept;
 
-    /// Samples lost to full per-thread buffers.
+    /// Samples lost to full per-thread buffers since the last start()
+    /// (exported as v6_profile_dropped_samples_total).
     static std::uint64_t dropped() noexcept;
 
     /// The collected samples as folded stacks: one

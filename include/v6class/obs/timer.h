@@ -1,58 +1,19 @@
-// timer.h — RAII phase timing: scoped spans that feed a latency
-// histogram and, when tracing is enabled, the v6::obs::trace span
-// tracer (see trace.h).
+// timer.h — the --trace-out file façade over the span tracer.
 //
-// phase_timer is the cheap primitive: two steady_clock reads around a
-// scope, one histogram observation at the end. With a null histogram it
-// compiles to nothing (no clock reads), so callers can construct it
-// unconditionally and let handle wiring decide.
-//
-// trace_scope additionally opens a tracer span, so every phase shows up
-// in the /trace Chrome-trace export and parents any fan-out launched
-// inside it. Load the resulting file in chrome://tracing or
-// https://ui.perfetto.dev to see the phases of a run laid out on a
-// timeline per thread. Tracing is off until trace_log::enable(path) or
-// tracer::enable(); when off, a trace_scope degrades to its
-// phase_timer.
+// Phase timing is not a type of its own: obs::span (trace.h) with a
+// histogram observes its scope's elapsed seconds, opens a tracer span
+// while tracing is on and counts the site while the PMU is armed. This
+// header adds trace_log, which remembers where to write the trace. Load
+// the resulting file in chrome://tracing or https://ui.perfetto.dev to
+// see the phases of a run laid out on a timeline per thread. Tracing is
+// off until trace_log::enable(path) or tracer::enable().
 #pragma once
 
-#include <chrono>
 #include <string>
 
-#include "v6class/obs/metrics.h"
 #include "v6class/obs/trace.h"
 
 namespace v6::obs {
-
-/// Observes the scope's elapsed seconds into a histogram on destruction
-/// (or on an early stop()).
-class phase_timer {
-public:
-    explicit phase_timer(histogram h) noexcept : h_(h) {
-        if (h_) start_ = std::chrono::steady_clock::now();
-    }
-    ~phase_timer() { stop(); }
-
-    phase_timer(const phase_timer&) = delete;
-    phase_timer& operator=(const phase_timer&) = delete;
-
-    /// Observes now instead of at scope exit; returns elapsed seconds.
-    /// Subsequent calls (and the destructor) are no-ops.
-    double stop() noexcept {
-        if (!h_ || stopped_) return 0.0;
-        stopped_ = true;
-        const double s = std::chrono::duration<double>(
-                             std::chrono::steady_clock::now() - start_)
-                             .count();
-        h_.observe(s);
-        return s;
-    }
-
-private:
-    histogram h_;
-    std::chrono::steady_clock::time_point start_{};
-    bool stopped_ = false;
-};
 
 /// File façade over the span tracer for --trace-out: enable(path)
 /// turns tracing on and remembers where to write; flush() (and process
@@ -66,10 +27,6 @@ public:
     static void enable(std::string path);
     static bool enabled() noexcept;
 
-    /// Records one complete event (timestamps in microseconds since the
-    /// tracer origin) as a parentless span. No-op while disabled.
-    static void record(const char* name, double ts_us, double dur_us);
-
     /// Writes the collected spans to the enabled path. Returns false
     /// when no path is set or the file cannot be written. Spans are
     /// kept, so periodic flushes write ever-longer prefixes of the run.
@@ -77,22 +34,6 @@ public:
 
     /// Drops all collected spans and disables collection (tests).
     static void reset();
-};
-
-/// phase_timer plus a tracer span named `name`. The span makes this
-/// phase the thread's current trace context, so tasks fanned out from
-/// inside the scope parent to it.
-class trace_scope {
-public:
-    explicit trace_scope(const char* name, histogram h = {}) noexcept
-        : timer_(h), span_(name) {}
-
-    trace_scope(const trace_scope&) = delete;
-    trace_scope& operator=(const trace_scope&) = delete;
-
-private:
-    phase_timer timer_;
-    span span_;  // destroyed first: the span closes before the timer
 };
 
 }  // namespace v6::obs

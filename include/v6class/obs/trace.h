@@ -1,5 +1,17 @@
-// trace.h — execution tracing across the parallel pipeline: per-thread
-// lock-free span ring buffers with 64-bit trace/span ids.
+// trace.h — the obs layer's one instrumentation scope and its span
+// tracer: per-thread lock-free span ring buffers with 64-bit trace/span
+// ids.
+//
+// obs::span is the only scope type. One span per instrumented site:
+//   * it opens a tracer span while tracing is enabled (tracer::enable,
+//     --trace-out, /trace);
+//   * it adds the site's hardware-counter delta to the PMU totals while
+//     counting is armed (pmu::enable, --pmu-out; see pmu.h), interned
+//     by the span's name;
+//   * given a histogram, it observes the scope's elapsed seconds.
+// The tracer span closes before the histogram observation. Disabled
+// cost is one relaxed atomic load and a branch per gate (tracer, PMU),
+// plus two clock reads only when a histogram is given.
 //
 // A span is one timed segment of work (a task run, a queue wait, a
 // merge) attributed to the thread that executed it and, through its
@@ -16,16 +28,26 @@
 // the oldest spans are overwritten and tracer::dropped() counts them —
 // tracing never blocks or allocates on the hot path.
 //
-// Disabled cost: constructing a span or context_scope is one relaxed
-// atomic load and a branch; nothing else runs. Tracing never touches
-// classification output — spans carry timestamps, not data.
+// Threads: name_thread() registers the calling thread once in the obs
+// layer's one thread registry. The entry carries the name and thread
+// number for every per-thread export — trace thread metadata, /pmu
+// rows and profiler stacks — and owns the thread's trace ring, counter
+// group and sample buffer, each created lazily on first use. Rings
+// outlive their threads, so finished workers' spans stay exportable.
+// Spans never touch classification output — they carry timestamps,
+// not data.
 #pragma once
 
 #include <atomic>
+#include <chrono>
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
+
+#include "v6class/obs/metrics.h"
+#include "v6class/obs/pmu.h"
 
 namespace v6::obs {
 
@@ -97,9 +119,6 @@ public:
                      std::uint64_t parent_id, std::uint64_t start_ns,
                      std::uint64_t dur_ns) noexcept;
 
-    /// Names the calling thread in trace exports ("par-worker-3").
-    static void set_thread_name(const std::string& name);
-
     /// Copies every readable span out of every ring, oldest first per
     /// thread, then sorted by start time. Safe concurrently with
     /// emitters; torn slots are skipped.
@@ -114,17 +133,32 @@ public:
     static std::uint64_t dropped() noexcept;
 };
 
-/// RAII span: starts on construction (when tracing is enabled), emits
-/// on destruction, and makes itself the thread's current context in
-/// between so nested spans and fan-outs parent to it.
+/// Names the calling thread ("par-worker-3") in every per-thread
+/// export: trace thread metadata, /pmu rows and profiler stacks. The
+/// one naming call a thread makes; the last name wins.
+void name_thread(const std::string& name);
+
+/// The one RAII instrumentation scope. While tracing is enabled it
+/// starts a span on construction, emits it on destruction, and is the
+/// thread's current context in between, so nested spans and fan-outs
+/// parent to it. While PMU counting is armed it adds the scope's
+/// multiplexing-scaled counter delta to the site named `name` (a
+/// string literal, interned by pointer, then by content). Given a
+/// histogram, it observes the scope's elapsed seconds after the span
+/// closes.
 class span {
 public:
-    explicit span(const char* name, span_kind kind = span_kind::run) noexcept {
-        if (detail::trace_enabled.load(std::memory_order_relaxed))
-            begin(name, kind);
+    explicit span(const char* name, histogram h = {},
+                  span_kind kind = span_kind::run) noexcept
+        : hist_(h) {
+        const bool trace =
+            detail::trace_enabled.load(std::memory_order_relaxed);
+        const bool count =
+            pmu::detail::pmu_enabled.load(std::memory_order_relaxed);
+        if (trace || count || hist_) open(name, kind, trace, count);
     }
     ~span() {
-        if (live_) end();
+        if (live_ || site_ || hist_) close();
     }
 
     span(const span&) = delete;
@@ -135,9 +169,13 @@ public:
     span_context context() const noexcept { return ctx_; }
 
 private:
-    void begin(const char* name, span_kind kind) noexcept;
-    void end() noexcept;
+    // Out of line, so a site inlines only the gates.
+    void open(const char* name, span_kind kind, bool trace,
+              bool count) noexcept;
+    void close() noexcept;
 
+    histogram hist_;
+    std::chrono::steady_clock::time_point start_{};
     const char* name_ = "";
     span_context ctx_{};
     span_context saved_{};
@@ -145,6 +183,8 @@ private:
     std::uint64_t start_ns_ = 0;
     span_kind kind_ = span_kind::run;
     bool live_ = false;
+    pmu::detail::site_rec* site_ = nullptr;
+    std::optional<pmu::sample> counters_;  // engaged only while counting
 };
 
 /// Adopts a context captured on another thread (at submit time) as the

@@ -162,9 +162,9 @@ struct day_report {
     // utilization over the interval since the previous seal (0..1, 0
     // while the pool sat idle).
     double pool_utilization = 0;
-    /// Instructions per cycle inside shard.ingest_batch scopes over the
-    /// same inter-seal interval (0 without a hardware PMU or while
-    /// pmu_scope collection is disabled).
+    /// Instructions per cycle inside shard.ingest_batch spans over the
+    /// same inter-seal interval (0 without a hardware PMU or while PMU
+    /// counting is disabled).
     double ingest_ipc = 0;
 };
 

@@ -39,7 +39,7 @@ for preset in "${presets[@]}"; do
 
         # Kill-switch sweep: the whole suite (minus the slow statistical
         # tests, which never touch counters) must behave identically
-        # with the PMU probe forced off — pmu_scope no-ops, /pmu and the
+        # with the PMU probe forced off — spans skip counting, /pmu and the
         # export degrade to mode+reason, nothing else notices.
         echo "=== pmu kill switch: ctest under V6CLASS_DISABLE_PMU=1 ==="
         V6CLASS_DISABLE_PMU=1 ctest --preset default -j "${jobs}" -LE slow
@@ -122,12 +122,14 @@ assert b"baseline IPC" in bad.stderr, bad.stderr
 print("bench gate self-test ok: synthetic 0.70x IPC drop fails the gate")
 EOF
 
-        # PMU scope overhead: the counter scopes on the ingest path
-        # (shard.ingest_batch / shard.seal / par.task — two group
-        # read(2)s each when armed) must stay within 5% of the same
-        # 1M-record ingest with collection off. Same-run ratio, best of
-        # a few attempts, like the federate gate below: single pairs on
-        # a shared 1-vCPU box jitter more than the budget.
+        # PMU overhead: with counting armed, every obs::span site on
+        # the ingest path is counted (shard.ingest_batch and par.task
+        # per batch, plus the per-seal sites such as shard.seal,
+        # seal_day and build_report — two group read(2)s each) and must
+        # stay within 5% of the same 1M-record ingest with counting off.
+        # Same-run ratio, best of a few attempts, like the federate gate
+        # below: single pairs on a shared 1-vCPU box jitter more than
+        # the budget.
         echo "=== pmu overhead: scopes armed vs off (same-run ratio) ==="
         pmu_ratio_ok=""
         for attempt in 1 2 3 4 5 6; do

@@ -9,22 +9,6 @@ namespace v6::obs {
 
 namespace {
 
-std::string json_escape(const std::string& s) {
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        if (c == '\\' || c == '"') {
-            out += '\\';
-            out += c;
-        } else if (c == '\n') {
-            out += "\\n";
-        } else {
-            out += c;
-        }
-    }
-    return out;
-}
-
 bool parse_number(const std::string& s, double& out) {
     if (s.empty()) return false;
     char* end = nullptr;

@@ -6,10 +6,7 @@
 
 namespace v6::obs {
 
-namespace {
-
-/// HTML text escaping for the few metacharacters that matter.
-std::string html_escape(const std::string& s) {
+std::string html_escape(std::string_view s) {
     std::string out;
     out.reserve(s.size());
     for (char c : s) {
@@ -23,6 +20,8 @@ std::string html_escape(const std::string& s) {
     }
     return out;
 }
+
+namespace {
 
 std::string format_uptime(double seconds) {
     char buf[64];

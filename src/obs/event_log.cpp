@@ -7,27 +7,6 @@
 
 namespace v6::obs {
 
-namespace {
-
-/// JSON string escaping; same character set the metrics exporters use.
-std::string escape(const std::string& s) {
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        if (c == '\\' || c == '"') {
-            out += '\\';
-            out += c;
-        } else if (c == '\n') {
-            out += "\\n";
-        } else {
-            out += c;
-        }
-    }
-    return out;
-}
-
-}  // namespace
-
 const char* event_level_name(event_level level) noexcept {
     switch (level) {
         case event_level::info: return "info";
@@ -45,7 +24,7 @@ std::string event_field_number(double v) {
 }
 
 std::string event_field_string(const std::string& v) {
-    return "\"" + escape(v) + "\"";
+    return "\"" + json_escape(v) + "\"";
 }
 
 std::string event_json(const event& e) {
@@ -55,11 +34,11 @@ std::string event_json(const event& e) {
     std::string out = head;
     out += "\"level\":\"";
     out += event_level_name(e.level);
-    out += "\",\"kind\":\"" + escape(e.kind) + "\",\"message\":\"" +
-           escape(e.message) + "\",\"fields\":{";
+    out += "\",\"kind\":\"" + json_escape(e.kind) + "\",\"message\":\"" +
+           json_escape(e.message) + "\",\"fields\":{";
     for (std::size_t i = 0; i < e.fields.size(); ++i) {
         if (i) out += ',';
-        out += "\"" + escape(e.fields[i].first) + "\":" + e.fields[i].second;
+        out += "\"" + json_escape(e.fields[i].first) + "\":" + e.fields[i].second;
     }
     out += "}}";
     return out;

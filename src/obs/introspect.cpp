@@ -4,6 +4,7 @@
 
 #include "v6class/obs/metrics.h"
 #include "v6class/obs/pmu.h"
+#include "v6class/obs/profile.h"
 #include "v6class/obs/trace.h"
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -43,6 +44,12 @@ void update_process_gauges(registry& reg) {
                     "Trace spans overwritten by per-thread ring wraparound "
                     "before any export read them.")
         .max_of(tracer::dropped());
+    // Likewise profiler samples lost to full per-thread buffers, so a
+    // thin flamegraph says why.
+    reg.get_counter("v6_profile_dropped_samples_total", {},
+                    "Profiler samples discarded because the sampled "
+                    "thread's buffer was full.")
+        .max_of(profiler::dropped());
 }
 
 }  // namespace v6::obs

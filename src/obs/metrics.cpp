@@ -70,6 +70,30 @@ std::size_t registry::size() const {
 
 // ------------------------------------------------------------- exporters
 
+std::string json_escape(std::string_view s) {
+    std::string out;
+    out.reserve(s.size());
+    for (const char c : s) {
+        switch (c) {
+            case '"': out += "\\\""; break;
+            case '\\': out += "\\\\"; break;
+            case '\n': out += "\\n"; break;
+            case '\r': out += "\\r"; break;
+            case '\t': out += "\\t"; break;
+            default:
+                if (static_cast<unsigned char>(c) < 0x20) {
+                    char buf[8];
+                    std::snprintf(buf, sizeof buf, "\\u%04x",
+                                  static_cast<unsigned char>(c));
+                    out += buf;
+                } else {
+                    out += c;
+                }
+        }
+    }
+    return out;
+}
+
 namespace {
 
 /// Shortest round-trippable formatting for metric values: integers stay
@@ -92,9 +116,9 @@ std::string format_double(double v) {
     return buf;
 }
 
-/// Prometheus label-value / JSON string escaping (the two agree on the
-/// characters that matter here: backslash, quote, newline).
-std::string escape(const std::string& s) {
+/// Prometheus label-value escaping: exactly backslash, quote and
+/// newline, as the text exposition format specifies.
+std::string prometheus_escape(const std::string& s) {
     std::string out;
     out.reserve(s.size());
     for (char c : s) {
@@ -115,7 +139,7 @@ std::string prometheus_labels(const label_list& labels) {
     std::string out = "{";
     for (std::size_t i = 0; i < labels.size(); ++i) {
         if (i) out += ',';
-        out += labels[i].first + "=\"" + escape(labels[i].second) + "\"";
+        out += labels[i].first + "=\"" + prometheus_escape(labels[i].second) + "\"";
     }
     out += '}';
     return out;
@@ -210,12 +234,12 @@ std::string registry::json_text() const {
     for (const detail::series& s : series_) {
         if (!first) out += ',';
         first = false;
-        out += "{\"name\":\"" + escape(s.name) + "\",\"type\":\"" +
+        out += "{\"name\":\"" + json_escape(s.name) + "\",\"type\":\"" +
                kind_name(s.kind) + "\",\"labels\":{";
         for (std::size_t i = 0; i < s.labels.size(); ++i) {
             if (i) out += ',';
-            out += "\"" + escape(s.labels[i].first) + "\":\"" +
-                   escape(s.labels[i].second) + "\"";
+            out += "\"" + json_escape(s.labels[i].first) + "\":\"" +
+                   json_escape(s.labels[i].second) + "\"";
         }
         out += "}";
         if (s.kind == metric_kind::histogram) {

@@ -1,6 +1,7 @@
 // pmu.cpp — perf_event_open(2) counter groups: one lazily-opened group
 // per counting thread, single-read() snapshots, multiplexing-aware
-// scaling, and lock-free per-site delta accumulation.
+// scaling, and lock-free per-site delta accumulation. Each group hangs
+// off its thread's entry in the obs thread registry (thread_registry.h).
 //
 // Group layout (PERF_FORMAT_GROUP | ID | TOTAL_TIME_ENABLED |
 // TOTAL_TIME_RUNNING): read() returns
@@ -10,6 +11,8 @@
 // slot absent instead of shifting everything.
 #include "v6class/obs/pmu.h"
 
+#include "thread_registry.h"
+#include "v6class/obs/dashboard.h"
 #include "v6class/obs/metrics.h"
 
 #include <cerrno>
@@ -102,16 +105,16 @@ int open_event(std::uint32_t type, std::uint64_t config, int group_fd,
 
 #endif  // V6CLASS_HAVE_PERF
 
-/// One thread's open counter group. Owned by a thread_local holder;
-/// registered in a process-wide list so /pmu can read every thread's
-/// fds from the snapshotting thread (perf fds read cross-thread).
+}  // namespace
+
+/// One thread's open counter group. Hangs off the thread's registry
+/// entry, so /pmu can read every thread's fds from the snapshotting
+/// thread (perf fds read cross-thread).
 struct thread_group {
     int lead = -1;
     std::array<int, counter_slots> fd;
     std::array<std::uint64_t, counter_slots> id{};
     std::array<bool, counter_slots> present{};
-    std::uint32_t tid = 0;
-    std::string name;
 
     thread_group() { fd.fill(-1); }
 
@@ -192,16 +195,7 @@ struct thread_group {
     }
 };
 
-// Never-destroyed registries: thread_local holder destructors (thread
-// exit) must be able to deregister safely however late they run.
-std::mutex& groups_mutex() {
-    static std::mutex m;
-    return m;
-}
-std::vector<thread_group*>& groups() {
-    static auto* v = new std::vector<thread_group*>;
-    return *v;
-}
+namespace {
 
 std::mutex& probe_mutex() {
     static std::mutex m;
@@ -254,47 +248,18 @@ availability run_probe() {
 #endif
 }
 
-thread_local std::string tls_thread_name;
-
-struct tls_group_holder {
-    thread_group* g = nullptr;
-    bool attempted = false;
-    ~tls_group_holder() { release(); }
-    void release() noexcept {
-        attempted = false;
-        if (!g) return;
-        {
-            std::lock_guard<std::mutex> lk(groups_mutex());
-            auto& v = groups();
-            for (std::size_t i = 0; i < v.size(); ++i) {
-                if (v[i] == g) {
-                    v.erase(v.begin() + static_cast<std::ptrdiff_t>(i));
-                    break;
-                }
-            }
-        }
-        g->close_all();
-        delete g;
-        g = nullptr;
-    }
-};
-thread_local tls_group_holder tls_group;
-
 thread_group* current_group() noexcept {
-    if (tls_group.attempted) return tls_group.g;
-    tls_group.attempted = true;
+    obs::detail::thread_entry* e = obs::detail::this_thread();
+    if (!e) return nullptr;
+    if (e->group_tried) return e->group;
+    e->group_tried = true;
     const availability& a = available();
     if (!a.counting()) return nullptr;
     auto g = std::make_unique<thread_group>();
     if (!g->open(a.tier)) return nullptr;  // per-thread failure (fd limit)
-#if defined(V6CLASS_HAVE_PERF)
-    g->tid = static_cast<std::uint32_t>(::syscall(SYS_gettid));
-#endif
-    g->name = tls_thread_name;
-    tls_group.g = g.release();
-    std::lock_guard<std::mutex> lk(groups_mutex());
-    groups().push_back(tls_group.g);
-    return tls_group.g;
+    std::lock_guard<std::mutex> lk(obs::detail::threads().mutex);
+    e->group = g.release();
+    return e->group;
 }
 
 // ---- site accumulation: fixed static slots, lock-free lookup.
@@ -470,30 +435,31 @@ site_stats site_totals(const char* name) {
 
 std::vector<thread_sample> thread_snapshot() {
     std::vector<thread_sample> out;
-    std::lock_guard<std::mutex> lk(groups_mutex());
-    out.reserve(groups().size());
-    for (const thread_group* g : groups()) {
+    obs::detail::thread_registry& r = obs::detail::threads();
+    std::lock_guard<std::mutex> lk(r.mutex);
+    for (const obs::detail::thread_entry* e : r.entries) {
+        if (!e->group) continue;
         thread_sample ts;
-        ts.tid = g->tid;
-        ts.name = g->name;
-        if (ts.name.empty()) ts.name = "tid-" + std::to_string(g->tid);
-        g->read_sample(ts.s);
+        ts.tid = e->tid;
+        ts.name = e->name;
+        if (ts.name.empty()) ts.name = "tid-" + std::to_string(e->tid);
+        e->group->read_sample(ts.s);
         out.push_back(std::move(ts));
     }
     return out;
 }
 
-void note_thread_name(const std::string& name) {
-    tls_thread_name = name;
-    if (tls_group.g) {
-        std::lock_guard<std::mutex> lk(groups_mutex());
-        tls_group.g->name = name;
-    }
-}
-
 void reset_for_test() {
     disable();
-    tls_group.release();
+    if (obs::detail::thread_entry* e = obs::detail::this_thread()) {
+        thread_group* g = nullptr;
+        {
+            std::lock_guard<std::mutex> lk(obs::detail::threads().mutex);
+            std::swap(g, e->group);
+        }
+        e->group_tried = false;
+        if (g) obs::detail::close_group(g);
+    }
     {
         std::lock_guard<std::mutex> lk(detail::g_site_mutex);
         const std::size_t n =
@@ -514,27 +480,6 @@ void reset_for_test() {
 // ---- rendering -----------------------------------------------------
 
 namespace {
-
-void json_escape_to(std::string& out, const std::string& s) {
-    for (char c : s) {
-        switch (c) {
-            case '"': out += "\\\""; break;
-            case '\\': out += "\\\\"; break;
-            case '\n': out += "\\n"; break;
-            case '\r': out += "\\r"; break;
-            case '\t': out += "\\t"; break;
-            default:
-                if (static_cast<unsigned char>(c) < 0x20) {
-                    char buf[8];
-                    std::snprintf(buf, sizeof(buf), "\\u%04x",
-                                  static_cast<unsigned char>(c));
-                    out += buf;
-                } else {
-                    out += c;
-                }
-        }
-    }
-}
 
 void append_num(std::string& out, double v) {
     char buf[32];
@@ -573,18 +518,6 @@ double sample_ipc(const sample& s) {
            static_cast<double>(cyc);
 }
 
-void html_escape_to(std::string& out, const std::string& s) {
-    for (char c : s) {
-        switch (c) {
-            case '&': out += "&amp;"; break;
-            case '<': out += "&lt;"; break;
-            case '>': out += "&gt;"; break;
-            case '"': out += "&quot;"; break;
-            default: out += c;
-        }
-    }
-}
-
 }  // namespace
 
 std::string snapshot_json() {
@@ -594,7 +527,7 @@ std::string snapshot_json() {
     out += "{\"mode\":\"";
     out += mode_name(a.tier);
     out += "\",\"reason\":\"";
-    json_escape_to(out, a.reason);
+    out += json_escape(a.reason);
     out += "\",\"enabled\":";
     out += enabled() ? "true" : "false";
     out += ",\"threads\":[";
@@ -606,7 +539,7 @@ std::string snapshot_json() {
         out += "{\"tid\":";
         append_u64(out, ts.tid);
         out += ",\"name\":\"";
-        json_escape_to(out, ts.name);
+        out += json_escape(ts.name);
         out += "\",\"time_enabled\":";
         append_u64(out, ts.s.time_enabled);
         out += ",\"time_running\":";
@@ -627,7 +560,7 @@ std::string snapshot_json() {
         if (!first) out += ",";
         first = false;
         out += "{\"site\":\"";
-        json_escape_to(out, st.name);
+        out += json_escape(st.name);
         out += "\",\"spans\":";
         append_u64(out, st.spans);
         out += ",\"counters\":";
@@ -662,9 +595,9 @@ std::string topdown_html() {
         "td:first-child,th:first-child{text-align:left}"
         ".muted{color:#64748b}</style></head><body>"
         "<h1>hardware counters</h1><p class=\"muted\">mode: ";
-    html_escape_to(out, mode_name(a.tier));
+    out += html_escape(mode_name(a.tier));
     out += " &middot; ";
-    html_escape_to(out, a.reason);
+    out += html_escape(a.reason);
     out += " &middot; scopes ";
     out += enabled() ? "enabled" : "disabled";
     out += "</p>";
@@ -690,7 +623,7 @@ std::string topdown_html() {
     for (const thread_sample& ts : thread_snapshot()) {
         if (!ts.s.ok) continue;
         out += "<tr><td>";
-        html_escape_to(out, ts.name);
+        out += html_escape(ts.name);
         out += "</td><td>";
         append_u64(out, ts.tid);
         out += "</td><td>";
@@ -734,7 +667,7 @@ std::string topdown_html() {
     for (const site_stats& st : site_snapshot()) {
         if (st.spans == 0) continue;
         out += "<tr><td>";
-        html_escape_to(out, st.name);
+        out += html_escape(st.name);
         out += "</td><td>";
         append_u64(out, st.spans);
         out += "</td><td>";
@@ -767,7 +700,7 @@ void export_gauges(registry& reg) {
         if (st.spans == 0) continue;
         const label_list labels{{"site", st.name}};
         reg.get_gauge("v6class_pmu_site_spans", labels,
-                      "pmu_scope activations recorded per site")
+                      "span activations counted per site")
             .set(static_cast<std::int64_t>(st.spans));
         if (st.has(counter::task_clock_ns))
             reg.get_dgauge("v6class_pmu_task_clock_seconds", labels,
@@ -791,13 +724,9 @@ void export_gauges(registry& reg) {
 
 }  // namespace pmu
 
-void pmu_scope::begin(const char* site) noexcept {
-    pmu::sample s = pmu::read_current();
-    if (!s.ok) return;
-    pmu::detail::site_rec* rec = pmu::detail::intern_site(site);
-    if (!rec) return;
-    begin_ = s;
-    site_ = rec;
+void detail::close_group(pmu::thread_group* g) noexcept {
+    g->close_all();
+    delete g;
 }
 
 }  // namespace v6::obs

@@ -1,31 +1,38 @@
 // profile.cpp — SIGPROF sampling profiler.
 //
 // Shape: one sampler thread wakes at the configured rate and
-// pthread_kill()s every registered thread; the SIGPROF handler runs on
-// the signaled thread, walks its own stack with ::backtrace() into a
-// stack-local array, and copies the frames into that thread's sample
-// buffer with relaxed atomic stores (single writer per buffer — a
-// thread's handler cannot race itself, SIGPROF does not nest).
+// pthread_kill()s every live thread of the obs thread registry
+// (thread_registry.h); the SIGPROF handler runs on the signaled thread,
+// walks its own stack with ::backtrace() into a stack-local array, and
+// copies the frames into that thread's sample buffer with relaxed
+// atomic stores (single writer per buffer — a thread's handler cannot
+// race itself, SIGPROF does not nest).
 //
-// Registration is cheap: register_thread() records the thread handle
-// and name only. Sample buffers (~2 MB each) are allocated by start()
-// for every registered thread and handed to the owning thread through a
-// per-thread atomic pointer slot — so pipelines that name their workers
+// Sample buffers (~2 MB each) hang off the registry entries. start()
+// allocates one for every live entry and publishes it through the
+// entry's `armed` pointer; threads registering while a profile runs get
+// theirs at registration. So pipelines that name their workers
 // unconditionally pay nothing until a profile is actually requested.
 //
 // Safety invariants:
 //  - ::backtrace() is warmed (called once) before the first signal, so
 //    its lazy dynamic-linker initialization never runs in the handler.
-//  - The handler finds its buffer through a trivially-destructible
-//    thread_local atomic pointer, cleared FIRST in the unregister path,
-//    so a signal landing during thread teardown drops the sample
-//    instead of touching freed state.
-//  - The sampler only signals threads while holding the registry mutex;
-//    unregistration removes the entry under the same mutex before the
-//    thread exits, so pthread_kill never targets a joined thread.
-//  - Buffers are shared_ptr-held and moved to a retired list at thread
-//    exit, so folded_text() still sees samples from finished workers.
+//  - The handler finds its buffer through the entry's atomic `armed`
+//    pointer (acquire, pairing with arm()'s release, so the buffer's
+//    construction happens-before its first sample), which the
+//    registry's thread-exit holder nulls FIRST, so a signal landing
+//    during thread teardown drops the sample instead of touching
+//    released state.
+//  - The sampler only signals live entries while holding the registry
+//    mutex; the exit holder marks its entry dead under the same mutex
+//    before the thread exits, so pthread_kill never targets a joined
+//    thread.
+//  - Buffers are shared_ptr-held and stay on the (dead) entry at thread
+//    exit, so folded_text() still sees samples from finished workers
+//    under their name; the next start() drops them.
 #include "v6class/obs/profile.h"
+
+#include "thread_registry.h"
 
 #if defined(__has_include)
 #if __has_include(<execinfo.h>) && __has_include(<dlfcn.h>) && \
@@ -59,7 +66,7 @@
 
 namespace v6::obs {
 
-namespace {
+namespace detail {
 
 struct sample_buffer {
     // Flat frame storage: sample k occupies pcs[k*max_depth ..]; head
@@ -70,42 +77,33 @@ struct sample_buffer {
     std::vector<std::atomic<std::uint16_t>> depths;
     std::atomic<std::uint64_t> head{0};
     std::atomic<std::uint64_t> dropped{0};
-    std::string name;
 
     sample_buffer()
         : pcs(profiler::samples_per_thread * profiler::max_depth),
           depths(profiler::samples_per_thread) {}
 };
 
-// The handler's only route to its buffer: a per-thread atomic slot.
-// start() (another thread) stores the buffer pointer here; the handler
-// loads it. Trivially destructible, so it stays readable even during
-// thread_local destruction; unregistration nulls it before anything is
-// released.
-thread_local std::atomic<sample_buffer*> tl_slot{nullptr};
+}  // namespace detail
 
-struct live_thread {
-    pthread_t handle{};
-    std::atomic<sample_buffer*>* slot = nullptr;  // &tl_slot of that thread
-    std::string name;
-    std::shared_ptr<sample_buffer> buf;  // null until a profile starts
-};
+namespace {
 
-struct prof_registry {
-    std::mutex mutex;
-    std::vector<live_thread> live;
-    std::vector<std::shared_ptr<sample_buffer>> retired;
+using detail::sample_buffer;
+using detail::thread_entry;
+
+struct sampler_state {
     std::atomic<bool> running{false};
-    std::thread sampler;
+    std::thread thread;  // guarded by the registry mutex
 };
 
-prof_registry& reg() {
-    static prof_registry* r = new prof_registry;  // leaked: see trace.cpp
-    return *r;
+sampler_state& sampler() {
+    static auto* s = new sampler_state;  // leaked: see threads()
+    return *s;
 }
 
 void prof_signal_handler(int, siginfo_t*, void*) {
-    sample_buffer* buf = tl_slot.load(std::memory_order_relaxed);
+    const thread_entry* e = detail::this_thread_if_registered();
+    if (e == nullptr) return;
+    sample_buffer* buf = e->armed.load(std::memory_order_acquire);
     if (buf == nullptr) return;
     const std::uint64_t h = buf->head.load(std::memory_order_relaxed);
     if (h >= profiler::samples_per_thread) {
@@ -123,34 +121,15 @@ void prof_signal_handler(int, siginfo_t*, void*) {
     buf->head.store(h + 1, std::memory_order_release);
 }
 
-struct thread_guard {
-    ~thread_guard() {
-        tl_slot.store(nullptr, std::memory_order_relaxed);
-        prof_registry& r = reg();
-        std::lock_guard<std::mutex> lock(r.mutex);
-        const pthread_t self = pthread_self();
-        for (auto it = r.live.begin(); it != r.live.end(); ++it) {
-            if (pthread_equal(it->handle, self)) {
-                if (it->buf) {
-                    it->buf->name = it->name;
-                    r.retired.push_back(std::move(it->buf));
-                }
-                r.live.erase(it);
-                break;
-            }
-        }
-    }
-};
-
 void sampler_loop(unsigned hz) {
-    prof_registry& r = reg();
+    detail::thread_registry& r = detail::threads();
     const auto period =
         std::chrono::nanoseconds(1'000'000'000ull / std::max(1u, hz));
-    while (r.running.load(std::memory_order_relaxed)) {
+    while (sampler().running.load(std::memory_order_relaxed)) {
         {
             std::lock_guard<std::mutex> lock(r.mutex);
-            for (const live_thread& t : r.live)
-                if (t.buf) pthread_kill(t.handle, SIGPROF);
+            for (const thread_entry* e : r.entries)
+                if (e->live && e->samples) pthread_kill(e->handle, SIGPROF);
         }
         std::this_thread::sleep_for(period);
     }
@@ -176,22 +155,38 @@ std::string frame_name(void* pc) {
     return buf;
 }
 
-/// Gives `t` its buffer and publishes it to the owning thread's slot.
-/// Registry mutex held.
-void arm_thread(live_thread& t) {
-    if (t.buf) return;
-    t.buf = std::make_shared<sample_buffer>();
-    t.buf->name = t.name;
-    t.slot->store(t.buf.get(), std::memory_order_release);
+/// Gives `e` an empty buffer and publishes it to the owning thread's
+/// handler. Registry mutex held.
+void arm(thread_entry& e) {
+    if (!e.samples) e.samples = std::make_shared<sample_buffer>();
+    e.samples->head.store(0, std::memory_order_relaxed);
+    e.samples->dropped.store(0, std::memory_order_relaxed);
+    e.armed.store(e.samples.get(), std::memory_order_release);
+}
+
+/// Sums `field` over every entry's buffer. Registry mutex taken.
+std::uint64_t sum_buffers(std::atomic<std::uint64_t> sample_buffer::*field) {
+    detail::thread_registry& r = detail::threads();
+    std::lock_guard<std::mutex> lock(r.mutex);
+    std::uint64_t total = 0;
+    for (const thread_entry* e : r.entries)
+        if (e->samples)
+            total += ((*e->samples).*field).load(std::memory_order_acquire);
+    return total;
 }
 
 }  // namespace
 
+void detail::arm_if_profiling(thread_entry& e) {
+    if (sampler().running.load(std::memory_order_relaxed)) arm(e);
+}
+
 bool profiler::start(unsigned hz) {
-    prof_registry& r = reg();
+    detail::thread_registry& r = detail::threads();
+    sampler_state& st = sampler();
     {
         std::lock_guard<std::mutex> lock(r.mutex);
-        if (r.running.load(std::memory_order_relaxed)) return false;
+        if (st.running.load(std::memory_order_relaxed)) return false;
 
         struct sigaction sa{};
         sa.sa_sigaction = prof_signal_handler;
@@ -204,96 +199,68 @@ bool profiler::start(unsigned hz) {
         void* warm[4];
         ::backtrace(warm, 4);
 
-        // Fresh run: drop samples from any previous start/stop cycle
-        // and arm every registered thread. No signals are in flight
-        // here (the old sampler was joined before running went true).
-        r.retired.clear();
-        for (live_thread& t : r.live) {
-            arm_thread(t);
-            t.buf->head.store(0, std::memory_order_relaxed);
-            t.buf->dropped.store(0, std::memory_order_relaxed);
+        // Fresh run: drop samples of threads that exited since the last
+        // run and arm every live thread. No signals are in flight here
+        // (the old sampler was joined before running went true).
+        for (thread_entry* e : r.entries) {
+            if (e->live)
+                arm(*e);
+            else
+                e->samples.reset();
         }
+        // Exited threads without a trace ring have nothing left to keep.
+        std::erase_if(r.entries, [](thread_entry* e) {
+            if (e->live || e->ring) return false;
+            delete e;
+            return true;
+        });
 
-        r.running.store(true, std::memory_order_relaxed);
-        r.sampler = std::thread(sampler_loop, hz);
+        st.running.store(true, std::memory_order_relaxed);
+        st.thread = std::thread(sampler_loop, hz);
     }
-    register_thread("main");
+    // The calling thread is sampled too (armed at registration if it
+    // was not registered yet), as "main" unless it has a name.
+    if (thread_entry* e = detail::this_thread()) {
+        std::lock_guard<std::mutex> lock(r.mutex);
+        if (e->name.empty()) e->name = "main";
+    }
     return true;
 }
 
 void profiler::stop() {
-    prof_registry& r = reg();
-    std::thread sampler;
+    sampler_state& st = sampler();
+    std::thread thread;
     {
-        std::lock_guard<std::mutex> lock(r.mutex);
-        if (!r.running.load(std::memory_order_relaxed)) return;
-        r.running.store(false, std::memory_order_relaxed);
-        sampler = std::move(r.sampler);
+        std::lock_guard<std::mutex> lock(detail::threads().mutex);
+        if (!st.running.load(std::memory_order_relaxed)) return;
+        st.running.store(false, std::memory_order_relaxed);
+        thread = std::move(st.thread);
     }
-    if (sampler.joinable()) sampler.join();
+    if (thread.joinable()) thread.join();
 }
 
 bool profiler::running() noexcept {
-    return reg().running.load(std::memory_order_relaxed);
-}
-
-void profiler::register_thread(const std::string& name) {
-    static thread_local thread_guard guard;  // unregisters at thread exit
-    (void)guard;
-    prof_registry& r = reg();
-    std::lock_guard<std::mutex> lock(r.mutex);
-    const pthread_t self = pthread_self();
-    for (live_thread& t : r.live) {
-        if (pthread_equal(t.handle, self)) {
-            t.name = name;
-            if (t.buf) t.buf->name = name;
-            return;
-        }
-    }
-    live_thread t;
-    t.handle = self;
-    t.slot = &tl_slot;
-    t.name = name;
-    if (r.running.load(std::memory_order_relaxed)) arm_thread(t);
-    r.live.push_back(std::move(t));
+    return sampler().running.load(std::memory_order_relaxed);
 }
 
 std::uint64_t profiler::sample_count() noexcept {
-    prof_registry& r = reg();
-    std::lock_guard<std::mutex> lock(r.mutex);
-    std::uint64_t total = 0;
-    for (const live_thread& t : r.live)
-        if (t.buf) total += t.buf->head.load(std::memory_order_acquire);
-    for (const auto& b : r.retired)
-        total += b->head.load(std::memory_order_acquire);
-    return total;
+    return sum_buffers(&sample_buffer::head);
 }
 
 std::uint64_t profiler::dropped() noexcept {
-    prof_registry& r = reg();
-    std::lock_guard<std::mutex> lock(r.mutex);
-    std::uint64_t total = 0;
-    for (const live_thread& t : r.live)
-        if (t.buf) total += t.buf->dropped.load(std::memory_order_relaxed);
-    for (const auto& b : r.retired)
-        total += b->dropped.load(std::memory_order_relaxed);
-    return total;
+    return sum_buffers(&sample_buffer::dropped);
 }
 
 std::string profiler::folded_text() {
     std::vector<std::shared_ptr<sample_buffer>> buffers;
     std::vector<std::string> names;
     {
-        prof_registry& r = reg();
+        detail::thread_registry& r = detail::threads();
         std::lock_guard<std::mutex> lock(r.mutex);
-        for (const live_thread& t : r.live) {
-            if (!t.buf) continue;
-            buffers.push_back(t.buf);
-            names.push_back(t.name);
-        }
-        for (const auto& b : r.retired) {
-            buffers.push_back(b);
-            names.push_back(b->name);
+        for (const thread_entry* e : r.entries) {
+            if (!e->samples) continue;
+            buffers.push_back(e->samples);
+            names.push_back(e->name);
         }
     }
 
@@ -345,10 +312,10 @@ std::string profiler::folded_text() {
 
 namespace v6::obs {
 
+void detail::arm_if_profiling(thread_entry&) {}
 bool profiler::start(unsigned) { return false; }
 void profiler::stop() {}
 bool profiler::running() noexcept { return false; }
-void profiler::register_thread(const std::string&) {}
 std::uint64_t profiler::sample_count() noexcept { return 0; }
 std::uint64_t profiler::dropped() noexcept { return 0; }
 std::string profiler::folded_text() { return {}; }

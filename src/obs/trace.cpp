@@ -1,5 +1,5 @@
-// trace.cpp — the span tracer (per-thread seqlock rings) and the
-// trace_log file façade over it.
+// trace.cpp — the span tracer (per-thread seqlock rings), the one obs
+// thread registry, the span scope, and the trace_log file façade.
 //
 // Ring protocol: every slot field is an atomic written with relaxed
 // stores, bracketed by a sequence counter (odd while a write is in
@@ -9,11 +9,9 @@
 // keeps concurrent snapshot()/emit() exact under TSan without locks on
 // the emit path.
 //
-// Rings are registered in a process-lifetime registry (intentionally
-// leaked — pool workers emit during static destruction, after
-// function-local statics would have been torn down) and are held by
-// shared_ptr from both the registry and a thread_local, so a ring
-// outlives its thread and its spans stay exportable.
+// Rings hang off the thread's registry entry (thread_registry.h),
+// which is kept after the thread exits while it holds a ring, so a
+// ring outlives its thread and its spans stay exportable.
 #include "v6class/obs/timer.h"
 
 #include <algorithm>
@@ -26,17 +24,17 @@
 #include <string>
 #include <vector>
 
+#include "thread_registry.h"
 #include "v6class/obs/atomic_file.h"
+#include "v6class/obs/metrics.h"
 #include "v6class/obs/pmu.h"
 #include "v6class/obs/trace.h"
 
 namespace v6::obs {
 
 namespace detail {
-std::atomic<bool> trace_enabled{false};
-}  // namespace detail
 
-namespace {
+std::atomic<bool> trace_enabled{false};
 
 struct slot {
     std::atomic<std::uint64_t> seq{0};  // even = stable, odd = mid-write
@@ -50,66 +48,132 @@ struct slot {
 };
 
 struct thread_ring {
-    explicit thread_ring(std::uint32_t id)
-        : tid(id), slots(tracer::ring_capacity) {}
+    thread_ring() : slots(tracer::ring_capacity) {}
 
-    const std::uint32_t tid;
     std::atomic<std::uint64_t> head{0};  // total spans ever emitted here
     std::atomic<std::uint64_t> dropped{0};
     std::vector<slot> slots;
-    std::mutex name_mutex;  // guards name (set once, read by exporters)
-    std::string name;
 };
 
-struct trace_registry {
-    std::mutex mutex;
-    std::vector<std::shared_ptr<thread_ring>> rings;
-    std::atomic<std::uint32_t> next_tid{1};
+namespace {
+
+std::atomic<std::uint32_t> next_tid{1};
+thread_local thread_entry* tl_self = nullptr;
+thread_local bool tl_exited = false;  // trivially destructible
+
+/// Releases the calling thread's entry at thread exit, in the order
+/// thread_registry.h gives.
+struct exit_holder {
+    thread_entry* e = nullptr;
+
+    exit_holder() = default;
+    exit_holder(const exit_holder&) = delete;
+    exit_holder& operator=(const exit_holder&) = delete;
+    ~exit_holder() {
+        tl_exited = true;
+        if (!e) return;
+        e->armed.store(nullptr, std::memory_order_relaxed);
+        tl_self = nullptr;
+        pmu::thread_group* group = nullptr;
+        {
+            thread_registry& r = threads();
+            std::lock_guard<std::mutex> lock(r.mutex);
+            e->live = false;
+            std::swap(group, e->group);
+            if (e->ring == nullptr && e->samples == nullptr) {
+                r.entries.erase(
+                    std::find(r.entries.begin(), r.entries.end(), e));
+                delete e;
+            }
+        }
+        if (group) close_group(group);
+    }
+};
+
+}  // namespace
+
+thread_registry& threads() {
+    // Leaked on purpose: never destroyed, so emit() stays valid from any
+    // thread at any point of process teardown.
+    static thread_registry* r = new thread_registry;
+    return *r;
+}
+
+thread_entry* this_thread() noexcept {
+    if (tl_self || tl_exited) return tl_self;
+    static thread_local exit_holder holder;
+    try {
+        auto e = std::make_unique<thread_entry>();
+        e->tid = next_tid.fetch_add(1, std::memory_order_relaxed);
+        e->handle = pthread_self();
+        thread_registry& r = threads();
+        std::lock_guard<std::mutex> lock(r.mutex);
+        r.entries.push_back(e.get());
+        arm_if_profiling(*e);
+        holder.e = tl_self = e.release();
+    } catch (...) {
+        return nullptr;  // allocation failed: run uninstrumented
+    }
+    return tl_self;
+}
+
+thread_entry* this_thread_if_registered() noexcept { return tl_self; }
+
+}  // namespace detail
+
+using detail::thread_entry;
+using detail::thread_ring;
+
+namespace {
+
+struct trace_clock {
     std::atomic<std::uint64_t> next_span{1};
+    std::mutex mutex;  // guards origin against reset()
     std::chrono::steady_clock::time_point origin =
         std::chrono::steady_clock::now();
 };
 
-trace_registry& reg() {
-    // Leaked on purpose: never destroyed, so emit() stays valid from any
-    // thread at any point of process teardown.
-    static trace_registry* r = new trace_registry;
-    return *r;
+trace_clock& clock_state() {
+    static trace_clock* c = new trace_clock;  // leaked: see threads()
+    return *c;
 }
 
 thread_local span_context tl_current{};
-thread_local std::shared_ptr<thread_ring> tl_ring;
-// Thread name stashed before the ring exists: rings are only allocated
-// on a thread's first emit (so naming every worker costs nothing while
-// tracing is off), and pick the pending name up on creation.
-thread_local std::string tl_pending_name;
 
 thread_ring* local_ring() noexcept {
-    if (!tl_ring) {
+    thread_entry* e = detail::this_thread();
+    if (!e) return nullptr;
+    if (!e->ring) {
         try {
-            trace_registry& r = reg();
-            auto ring =
-                std::make_shared<thread_ring>(r.next_tid.fetch_add(1));
-            ring->name = tl_pending_name;  // pre-publish: no lock needed
-            std::lock_guard<std::mutex> lock(r.mutex);
-            r.rings.push_back(ring);
-            tl_ring = std::move(ring);
+            auto ring = std::make_unique<thread_ring>();
+            std::lock_guard<std::mutex> lock(detail::threads().mutex);
+            e->ring = ring.release();
         } catch (...) {
             return nullptr;  // allocation failed: drop spans, don't throw
         }
     }
-    return tl_ring.get();
+    return e->ring;
 }
 
-std::vector<std::shared_ptr<thread_ring>> all_rings() {
-    trace_registry& r = reg();
+struct ring_ref {
+    thread_ring* ring;
+    std::uint32_t tid;
+    std::string name;
+};
+
+/// Every ring with its thread's number and name, registration order.
+std::vector<ring_ref> all_rings() {
+    detail::thread_registry& r = detail::threads();
     std::lock_guard<std::mutex> lock(r.mutex);
-    return r.rings;
+    std::vector<ring_ref> out;
+    for (const thread_entry* e : r.entries)
+        if (e->ring) out.push_back({e->ring, e->tid, e->name});
+    return out;
 }
 
 /// Copies one slot; returns false on a torn read (writer mid-flight or
 /// the slot was overwritten while copying).
-bool read_slot(const slot& s, span_record& out) {
+bool read_slot(const detail::slot& s, span_record& out) {
     for (int attempt = 0; attempt < 3; ++attempt) {
         const std::uint64_t s1 = s.seq.load(std::memory_order_acquire);
         if (s1 == 0 || (s1 & 1) != 0) continue;
@@ -127,22 +191,6 @@ bool read_slot(const slot& s, span_record& out) {
         }
     }
     return false;
-}
-
-void append_json_escaped(std::string& out, const char* s) {
-    for (; *s; ++s) {
-        const char c = *s;
-        if (c == '"' || c == '\\') {
-            out += '\\';
-            out += c;
-        } else if (static_cast<unsigned char>(c) < 0x20) {
-            char buf[8];
-            std::snprintf(buf, sizeof buf, "\\u%04x", c);
-            out += buf;
-        } else {
-            out += c;
-        }
-    }
 }
 
 /// File sink for trace_log: remembers the --trace-out path and flushes
@@ -179,7 +227,7 @@ const char* span_kind_name(span_kind k) noexcept {
 }
 
 void tracer::enable() noexcept {
-    reg();  // construct the registry (and its time origin) before spans
+    clock_state();  // fix the time origin before the first span
     detail::trace_enabled.store(true, std::memory_order_relaxed);
 }
 
@@ -189,15 +237,15 @@ void tracer::disable() noexcept {
 
 void tracer::reset() noexcept {
     disable();
-    for (const auto& ring : all_rings()) {
+    for (const ring_ref& r : all_rings()) {
         // Emptying head is enough: snapshot() only reads below head, and
         // the owning thread (if mid-emit) re-publishes its slot after.
-        ring->head.store(0, std::memory_order_release);
-        ring->dropped.store(0, std::memory_order_relaxed);
+        r.ring->head.store(0, std::memory_order_release);
+        r.ring->dropped.store(0, std::memory_order_relaxed);
     }
-    trace_registry& r = reg();
-    std::lock_guard<std::mutex> lock(r.mutex);
-    r.origin = std::chrono::steady_clock::now();
+    trace_clock& c = clock_state();
+    std::lock_guard<std::mutex> lock(c.mutex);
+    c.origin = std::chrono::steady_clock::now();
 }
 
 span_context tracer::current() noexcept { return tl_current; }
@@ -205,12 +253,12 @@ span_context tracer::current() noexcept { return tl_current; }
 std::uint64_t tracer::now_ns() noexcept {
     return static_cast<std::uint64_t>(
         std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now() - reg().origin)
+            std::chrono::steady_clock::now() - clock_state().origin)
             .count());
 }
 
 std::uint64_t tracer::next_id() noexcept {
-    return reg().next_span.fetch_add(1, std::memory_order_relaxed);
+    return clock_state().next_span.fetch_add(1, std::memory_order_relaxed);
 }
 
 void tracer::emit(const char* name, span_kind kind, span_context ctx,
@@ -222,7 +270,7 @@ void tracer::emit(const char* name, span_kind kind, span_context ctx,
     if (ctx.trace_id == 0) ctx.trace_id = ctx.span_id;
 
     const std::uint64_t h = ring->head.load(std::memory_order_relaxed);
-    slot& s = ring->slots[h % ring_capacity];
+    detail::slot& s = ring->slots[h % ring_capacity];
     const std::uint64_t seq0 = s.seq.load(std::memory_order_relaxed);
     s.seq.store(seq0 + 1, std::memory_order_release);  // odd: write begins
     std::atomic_thread_fence(std::memory_order_release);
@@ -238,28 +286,15 @@ void tracer::emit(const char* name, span_kind kind, span_context ctx,
     if (h >= ring_capacity) ring->dropped.fetch_add(1, std::memory_order_relaxed);
 }
 
-void tracer::set_thread_name(const std::string& name) {
-    pmu::note_thread_name(name);  // one call names both subsystems
-    try {
-        tl_pending_name = name;
-    } catch (...) {
-        return;
-    }
-    if (tl_ring) {
-        std::lock_guard<std::mutex> lock(tl_ring->name_mutex);
-        tl_ring->name = name;
-    }
-}
-
 std::vector<span_record> tracer::snapshot() {
     std::vector<span_record> out;
-    for (const auto& ring : all_rings()) {
-        const std::uint64_t head = ring->head.load(std::memory_order_acquire);
+    for (const ring_ref& r : all_rings()) {
+        const std::uint64_t head = r.ring->head.load(std::memory_order_acquire);
         const std::uint64_t n = std::min<std::uint64_t>(head, ring_capacity);
         for (std::uint64_t k = head - n; k < head; ++k) {
             span_record rec;
-            if (!read_slot(ring->slots[k % ring_capacity], rec)) continue;
-            rec.tid = ring->tid;
+            if (!read_slot(r.ring->slots[k % ring_capacity], rec)) continue;
+            rec.tid = r.tid;
             out.push_back(rec);
         }
     }
@@ -277,27 +312,18 @@ std::string tracer::chrome_json() {
     out +=
         " {\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,"
         "\"args\":{\"name\":\"v6class\"}}";
-    for (const auto& ring : all_rings()) {
-        std::string name;
-        {
-            std::lock_guard<std::mutex> lock(ring->name_mutex);
-            name = ring->name;
-        }
-        if (name.empty()) continue;
+    for (const ring_ref& r : all_rings()) {
+        if (r.name.empty()) continue;
         char buf[64];
         std::snprintf(buf, sizeof buf,
                       ",\n {\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,"
                       "\"tid\":%u,",
-                      ring->tid);
+                      r.tid);
         out += buf;
-        out += "\"args\":{\"name\":\"";
-        append_json_escaped(out, name.c_str());
-        out += "\"}}";
+        out += "\"args\":{\"name\":\"" + json_escape(r.name) + "\"}}";
     }
     for (const span_record& s : spans) {
-        out += ",\n {\"name\":\"";
-        append_json_escaped(out, s.name);
-        out += "\",\"cat\":\"";
+        out += ",\n {\"name\":\"" + json_escape(s.name) + "\",\"cat\":\"";
         out += span_kind_name(s.kind);
         char buf[224];
         std::snprintf(
@@ -318,29 +344,57 @@ std::string tracer::chrome_json() {
 
 std::uint64_t tracer::dropped() noexcept {
     std::uint64_t total = 0;
-    for (const auto& ring : all_rings())
-        total += ring->dropped.load(std::memory_order_relaxed);
+    for (const ring_ref& r : all_rings())
+        total += r.ring->dropped.load(std::memory_order_relaxed);
     return total;
 }
 
-void span::begin(const char* name, span_kind kind) noexcept {
-    name_ = name;
-    kind_ = kind;
-    saved_ = tl_current;
-    parent_ = saved_.span_id;
-    ctx_.span_id = tracer::next_id();
-    ctx_.trace_id = saved_.trace_id != 0 ? saved_.trace_id : ctx_.span_id;
-    tl_current = ctx_;
-    start_ns_ = tracer::now_ns();
-    live_ = true;
+void span::open(const char* name, span_kind kind, bool trace,
+                bool count) noexcept {
+    if (hist_) start_ = std::chrono::steady_clock::now();
+    if (trace) {
+        name_ = name;
+        kind_ = kind;
+        saved_ = tl_current;
+        parent_ = saved_.span_id;
+        ctx_.span_id = tracer::next_id();
+        ctx_.trace_id = saved_.trace_id != 0 ? saved_.trace_id : ctx_.span_id;
+        tl_current = ctx_;
+        start_ns_ = tracer::now_ns();
+        live_ = true;
+    }
+    if (count) {
+        counters_ = pmu::read_current();
+        if (counters_->ok) site_ = pmu::detail::intern_site(name);
+    }
 }
 
-void span::end() noexcept {
-    const std::uint64_t now = tracer::now_ns();
-    tracer::emit(name_, kind_, ctx_, parent_,
-                 start_ns_, now > start_ns_ ? now - start_ns_ : 0);
-    tl_current = saved_;
-    live_ = false;
+void span::close() noexcept {
+    // Innermost first: the PMU delta excludes the tracer's emit, and the
+    // span closes before the histogram observation.
+    if (site_) pmu::detail::scope_end(site_, *counters_);
+    if (live_) {
+        const std::uint64_t now = tracer::now_ns();
+        tracer::emit(name_, kind_, ctx_, parent_, start_ns_,
+                     now > start_ns_ ? now - start_ns_ : 0);
+        tl_current = saved_;
+        live_ = false;
+    }
+    if (hist_)
+        hist_.observe(std::chrono::duration<double>(
+                          std::chrono::steady_clock::now() - start_)
+                          .count());
+}
+
+void name_thread(const std::string& name) {
+    thread_entry* e = detail::this_thread();
+    if (!e) return;
+    try {
+        std::lock_guard<std::mutex> lock(detail::threads().mutex);
+        e->name = name;
+    } catch (...) {
+        // Out of memory for the name: the thread stays unnamed.
+    }
 }
 
 void context_scope::adopt(span_context parent) noexcept {
@@ -364,15 +418,6 @@ void trace_log::enable(std::string path) {
 }
 
 bool trace_log::enabled() noexcept { return tracer::enabled(); }
-
-void trace_log::record(const char* name, double ts_us, double dur_us) {
-    if (!tracer::enabled()) return;
-    span_context ctx;
-    ctx.span_id = tracer::next_id();
-    tracer::emit(name, span_kind::run, ctx, 0,
-                 static_cast<std::uint64_t>(ts_us * 1e3),
-                 static_cast<std::uint64_t>(dur_us * 1e3));
-}
 
 bool trace_log::flush() {
     file_sink& s = sink();

@@ -15,7 +15,7 @@
 
 #include "v6class/obs/federate.h"
 #include "v6class/obs/http.h"
-#include "v6class/obs/pmu.h"
+#include "v6class/obs/trace.h"
 
 namespace v6::obs::tsdb {
 
@@ -146,12 +146,7 @@ std::string fields_json_of(const event_fields& fields) {
     std::string out = "{";
     for (std::size_t i = 0; i < fields.size(); ++i) {
         if (i) out += ',';
-        out += '"';
-        for (char c : fields[i].first) {
-            if (c == '"' || c == '\\') out += '\\';
-            out += c;
-        }
-        out += "\":" + fields[i].second;
+        out += '"' + json_escape(fields[i].first) + "\":" + fields[i].second;
     }
     out += '}';
     return out;
@@ -589,7 +584,7 @@ void database::apply_retention_locked() {
 }
 
 bool database::commit() {
-    obs::pmu_scope commit_pmu("tsdb.commit");
+    const obs::span commit_span("tsdb.commit");
     std::lock_guard lock(mutex_);
     if (active_fd_ < 0) return false;
     bool wrote = false;

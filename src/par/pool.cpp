@@ -11,8 +11,6 @@
 #include <thread>
 
 #include "v6class/obs/metrics.h"
-#include "v6class/obs/pmu.h"
-#include "v6class/obs/profile.h"
 #include "v6class/obs/trace.h"
 
 namespace v6::par {
@@ -105,7 +103,6 @@ struct job {
             {
                 obs::context_scope adopt(submit_ctx);
                 obs::span task_span("par.task");
-                obs::pmu_scope task_pmu("par.task");
                 try {
                     fn(i);
                 } catch (...) {
@@ -190,9 +187,7 @@ private:
     }
 
     void worker_loop(unsigned index) {
-        const std::string name = "par-worker-" + std::to_string(index);
-        obs::tracer::set_thread_name(name);
-        obs::profiler::register_thread(name);
+        obs::name_thread("par-worker-" + std::to_string(index));
         std::uint64_t seen = 0;
         for (;;) {
             std::shared_ptr<job> j;

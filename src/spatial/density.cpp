@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
-#include "v6class/obs/timer.h"
+#include "v6class/obs/trace.h"
 #include "v6class/par/pool.h"
 
 namespace v6 {
@@ -50,7 +50,7 @@ template <class DenseAt>
 std::vector<density_row> density_table(
     const std::vector<std::pair<std::uint64_t, unsigned>>& classes,
     DenseAt&& dense_at) {
-    const obs::trace_scope span("density_table", density_phase_histogram());
+    const obs::span span("density_table", density_phase_histogram());
     return par::map_indexed<density_row>(classes.size(), [&](std::size_t i) {
         const auto [n, p] = classes[i];
         return make_row(n, p, dense_at(n, p));
@@ -82,7 +82,7 @@ std::vector<density_row> compute_density_table(
 std::vector<density_row> compute_density_table(
     const std::vector<std::pair<std::uint64_t, unsigned>>& classes,
     const std::vector<density_count>& counts) {
-    const obs::trace_scope span("density_table", density_phase_histogram());
+    const obs::span span("density_table", density_phase_histogram());
     std::vector<density_row> rows;
     rows.reserve(classes.size());
     for (std::size_t i = 0; i < classes.size(); ++i)

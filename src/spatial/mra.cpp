@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cstring>
 
-#include "v6class/obs/timer.h"
+#include "v6class/obs/trace.h"
 #include "v6class/simd/kernels.h"
 
 namespace v6 {
@@ -50,7 +50,7 @@ std::vector<double> mra_series::ratios(unsigned k) const {
 }
 
 mra_series compute_mra_sorted(const std::vector<address>& sorted_unique) {
-    const obs::trace_scope span("mra", mra_phase_histogram());
+    const obs::span span("mra", mra_phase_histogram());
     // Adjacent distinct addresses a_i, a_{i+1} share cpl bits: they fall
     // into the same /p prefix iff p <= cpl. Hence the number of /p
     // aggregates is 1 + |{i : cpl_i < p}|.
@@ -61,7 +61,7 @@ mra_series compute_mra_sorted(const std::vector<address>& sorted_unique) {
 }
 
 mra_series compute_mra(std::vector<address> addrs) {
-    const obs::trace_scope span("mra", mra_phase_histogram());
+    const obs::span span("mra", mra_phase_histogram());
     // Sort + dedupe on SoA lanes, then adjacent common-prefix lengths via
     // the batch kernel; identical to sort/unique/compute_mra_sorted.
     simd::address_block block(addrs.size());
@@ -87,12 +87,12 @@ mra_series compute_mra(std::vector<address> addrs) {
 
 mra_series compute_mra_from_histogram(const std::array<std::uint64_t, 129>& hist,
                                       bool empty) {
-    const obs::trace_scope span("mra", mra_phase_histogram());
+    const obs::span span("mra", mra_phase_histogram());
     return from_split_histogram(hist, empty);
 }
 
 mra_series compute_mra_from_trie(const radix_tree& tree) {
-    const obs::trace_scope span("mra_from_trie", mra_phase_histogram());
+    const obs::span span("mra_from_trie", mra_phase_histogram());
     std::array<std::uint64_t, 129> hist{};
     tree.visit_splits([&](unsigned len) { ++hist[len]; });
     return from_split_histogram(hist, tree.empty());

@@ -5,8 +5,7 @@
 
 #include "v6class/obs/introspect.h"
 #include "v6class/obs/pmu.h"
-#include "v6class/obs/profile.h"
-#include "v6class/obs/timer.h"
+#include "v6class/obs/trace.h"
 #include "v6class/par/pool.h"
 #include "v6class/simd/kernels.h"
 
@@ -399,9 +398,7 @@ void stream_engine::finish() {
 // -------------------------------------------------------------- workers
 
 void stream_engine::worker_loop(unsigned shard) {
-    const std::string tname = "stream-worker-" + std::to_string(shard);
-    obs::tracer::set_thread_name(tname);
-    obs::profiler::register_thread(tname);
+    obs::name_thread("stream-worker-" + std::to_string(shard));
     while (auto msg = queues_[shard]->pop()) {
         if (cfg_.metrics)
             m_.queue_depth[shard].set(
@@ -419,7 +416,6 @@ void stream_engine::worker_loop(unsigned shard) {
             }
             obs::context_scope adopt(msg->ctx);
             obs::span batch_span("shard.ingest_batch");
-            obs::pmu_scope batch_pmu("shard.ingest_batch");
             const simd::address_block& batch = msg->batch;
             if (cfg_.sketches) {
                 // The day sketches ride the worker, not the pusher: the
@@ -455,8 +451,7 @@ void stream_engine::worker_loop(unsigned shard) {
 // ---------------------------------------------------------- roll thread
 
 void stream_engine::roll_loop() {
-    obs::tracer::set_thread_name("stream-roll");
-    obs::profiler::register_thread("stream-roll");
+    obs::name_thread("stream-roll");
     for (;;) {
         pending_seal seal;
         {
@@ -482,14 +477,13 @@ void stream_engine::roll_loop() {
             // report build below) hold the lock shared. The histogram
             // covers exactly the exclusive section: how long ingest of
             // already-drained shards can stall behind a seal.
-            obs::trace_scope span("seal_day", m_.seal_latency);
+            obs::span span("seal_day", m_.seal_latency);
             std::unique_lock state(state_mutex_);
             // Shards share no sealed state, so each seals as one pool
             // task; the workers are parked, so nothing else touches them.
             std::vector<std::size_t> seen(shards_.size());
             par::run_indexed(shards_.size(), [&](std::size_t i) {
                 obs::span shard_span("shard.seal");
-                obs::pmu_scope shard_pmu("shard.seal");
                 seen[i] = shards_[i]->distinct_addresses();
                 shards_[i]->seal_day(day);
             });
@@ -514,7 +508,7 @@ void stream_engine::roll_loop() {
         // which cannot be applied until this loop comes round).
         day_report report;
         {
-            obs::trace_scope span("build_report", m_.report_build);
+            obs::span span("build_report", m_.report_build);
             report = build_report(day);
         }
         // Pool seat utilization over the inter-seal interval:
@@ -886,7 +880,7 @@ stability_split stream_engine::classify_day(int ref_day, unsigned n) const {
         par::map_indexed<stability_split>(shards_.size(), [&](std::size_t i) {
             return shards_[i]->classify_day(ref_day, n);
         });
-    obs::span merge_span("merge_splits", obs::span_kind::merge);
+    obs::span merge_span("merge_splits", {}, obs::span_kind::merge);
     const auto merge = [&](std::vector<address> stability_split::*part) {
         std::vector<std::size_t> sizes;
         std::size_t total = 0;

@@ -5,7 +5,6 @@
 #include <cstring>
 #include <tuple>
 
-#include "v6class/obs/timer.h"
 #include "v6class/obs/trace.h"
 #include "v6class/simd/kernels.h"
 
@@ -63,7 +62,7 @@ void sorted_run::merge(const simd::address_block& fresh,
                        simd::address_block* new_prefixes) {
     const std::size_t m = fresh.size();
     if (m == 0) return;
-    obs::span span("merge_run", obs::span_kind::merge);
+    obs::span span("merge_run", {}, obs::span_kind::merge);
     const std::uint64_t* fh = fresh.hi();
     const std::uint64_t* fl = fresh.lo();
     const std::size_t n = keys_.size();
@@ -203,7 +202,7 @@ void stream_shard::classify_slots(int ref_day, unsigned n, Visit&& visit) const 
     static const obs::histogram phase = obs::registry::global().get_histogram(
         "v6_temporal_classify_day_seconds", obs::latency_buckets(), {},
         "Time to nd-stable-classify one reference day against its window.");
-    const obs::trace_scope span("classify_day", phase);
+    const obs::span span("classify_day", phase);
     if (ref_day < first_day_ || ref_day > sealed_) return;
     const auto entry = std::find_if(ring_.begin(), ring_.end(),
                                     [&](const day_slots& d) { return d.day == ref_day; });

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <bit>
 
-#include "v6class/obs/timer.h"
+#include "v6class/obs/trace.h"
 
 namespace v6 {
 
@@ -161,7 +161,7 @@ void observation_store::record_day(int day, const std::vector<address>& active) 
     static const obs::histogram phase = obs::registry::global().get_histogram(
         "v6_temporal_record_day_seconds", obs::latency_buckets(), {},
         "Time to fold one day of active addresses into the lifetime store.");
-    const obs::trace_scope span("record_day", phase);
+    const obs::span span("record_day", phase);
     reserve_for(active.size());
     for (const address& a : active) {
         std::uint64_t hi = a.hi(), lo = a.lo();
@@ -175,7 +175,7 @@ void observation_store::record_day(int day, const simd::address_block& active,
     static const obs::histogram phase = obs::registry::global().get_histogram(
         "v6_temporal_record_day_seconds", obs::latency_buckets(), {},
         "Time to fold one day of active addresses into the lifetime store.");
-    const obs::trace_scope span("record_day", phase);
+    const obs::span span("record_day", phase);
     reserve_for(active.size());
     const std::uint64_t* his = active.hi();
     const std::uint64_t* los = active.lo();

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "v6class/obs/timer.h"
+#include "v6class/obs/trace.h"
 #include "v6class/par/pool.h"
 
 namespace v6 {
@@ -11,7 +11,7 @@ stability_split stability_analyzer::classify_day(day_index ref_day, unsigned n) 
     static const obs::histogram phase = obs::registry::global().get_histogram(
         "v6_temporal_classify_day_seconds", obs::latency_buckets(), {},
         "Time to nd-stable-classify one reference day against its window.");
-    const obs::trace_scope span("classify_day", phase);
+    const obs::span span("classify_day", phase);
     const std::vector<address>& ref = series_->day(ref_day);
     stability_split out;
     if (ref.empty()) return out;
@@ -64,7 +64,7 @@ stability_split stability_analyzer::classify_week(day_index first_day, unsigned 
         par::map_indexed<stability_split>(7, [&](std::size_t i) {
             return classify_day(first_day + static_cast<day_index>(i), n);
         });
-    const obs::span merge_span("merge_week", obs::span_kind::merge);
+    const obs::span merge_span("merge_week", {}, obs::span_kind::merge);
     std::vector<address> stable_union;
     std::vector<address> not_stable_union;
     for (const stability_split& s : splits) {

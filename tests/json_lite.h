@@ -1,8 +1,9 @@
 // json_lite.h — a tiny recursive-descent JSON syntax checker for tests
 // that validate the JSON artifacts our tools emit (--metrics-out dumps,
 // trace files). Checks well-formedness only — no DOM, no numbers parsed
-// beyond shape — which is all a schema smoke test needs without pulling
-// in a JSON dependency.
+// beyond shape, though strings must escape every control character as
+// RFC 8259 §7 requires — which is all a schema smoke test needs without
+// pulling in a JSON dependency.
 #pragma once
 
 #include <cctype>
@@ -88,6 +89,8 @@ private:
         while (!at_end()) {
             const char c = text_[pos_++];
             if (c == '"') return true;
+            // RFC 8259 §7: control characters must be escaped.
+            if (static_cast<unsigned char>(c) < 0x20) return false;
             if (c == '\\') {
                 if (at_end()) return false;
                 ++pos_;  // accept any escape; shape check only

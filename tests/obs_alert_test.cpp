@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "json_lite.h"
 #include "v6class/obs/alert.h"
 #include "v6class/obs/event_log.h"
 #include "v6class/obs/metrics.h"
@@ -359,6 +360,17 @@ TEST(AlertEngineTest, StatusJsonListsEveryRule) {
     EXPECT_NE(json.find("\"name\":\"a\""), std::string::npos) << json;
     EXPECT_NE(json.find("\"name\":\"b\""), std::string::npos) << json;
     EXPECT_NE(json.find("\"state\":\"inactive\""), std::string::npos) << json;
+}
+
+TEST(AlertEngineTest, StatusJsonEscapesControlCharacters) {
+    obs::alert_rule rule = parse_one("a series=s above=1");
+    rule.name = "ctl\x01\tname";
+    obs::alert_engine eng;
+    eng.load_rules({rule});
+    const std::string json = eng.status_json();
+    EXPECT_TRUE(v6::testing::json_checker::valid(json)) << json;
+    EXPECT_NE(json.find("\"name\":\"ctl\\u0001\\tname\""), std::string::npos)
+        << json;
 }
 
 }  // namespace

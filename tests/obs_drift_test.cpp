@@ -138,6 +138,20 @@ TEST(EventLogTest, JsonLinesAreValidJson) {
     EXPECT_NE(lines.find("\"errno\":28"), std::string::npos);
 }
 
+TEST(EventLogTest, ControlCharactersAreEscapedInJson) {
+    obs::event e;
+    e.kind = "k\t\r\x01";
+    e.message = "a\tb\rc\x01";
+    e.fields = {{"f\t\r\x01", obs::event_field_string("v\t\r\x01")}};
+    const std::string json = obs::event_json(e);
+    EXPECT_TRUE(v6::testing::json_checker::valid(json)) << json;
+    EXPECT_NE(json.find("\"a\\tb\\rc\\u0001\""), std::string::npos) << json;
+    EXPECT_NE(json.find("\"k\\t\\r\\u0001\""), std::string::npos) << json;
+    EXPECT_NE(json.find("\"f\\t\\r\\u0001\":\"v\\t\\r\\u0001\""),
+              std::string::npos)
+        << json;
+}
+
 TEST(EventLogTest, RetentionDropsOldestButCountsAll) {
     obs::event_log log(3);
     for (int i = 0; i < 10; ++i)

@@ -1,6 +1,6 @@
 // Tests for v6::obs::pmu — the perf_event_open counter groups behind
-// pmu_scope, /pmu, and the bench IPC counters. The box running the
-// suite decides how much hardware there is (a locked-down
+// obs::span's site counting, /pmu, and the bench IPC counters. The box
+// running the suite decides how much hardware there is (a locked-down
 // perf_event_paranoid or a VM without a PMU degrades the probe to the
 // software tier or to unavailable), so every test that needs live
 // counters GTEST_SKIPs rather than fails when the tier is too low: the
@@ -20,6 +20,7 @@
 #include "v6class/obs/http.h"
 #include "v6class/obs/metrics.h"
 #include "v6class/obs/pmu.h"
+#include "v6class/obs/trace.h"
 
 namespace {
 
@@ -114,7 +115,7 @@ TEST_F(ObsPmuTest, DisableEnvForcesUnavailableNoOp) {
     obs::pmu::enable();  // must refuse: nothing to count
     EXPECT_FALSE(obs::pmu::enabled());
     {
-        const obs::pmu_scope scope("pmu_test.disabled");
+        const obs::span scope("pmu_test.disabled");
         spin();
     }
     EXPECT_EQ(obs::pmu::site_totals("pmu_test.disabled").spans, 0u);
@@ -164,10 +165,10 @@ TEST_F(ObsPmuTest, ScopeDeltasAccumulateAtTheirSite) {
         GTEST_SKIP() << "pmu unavailable: " << obs::pmu::available().reason;
     obs::pmu::enable();
     for (int i = 0; i < 3; ++i) {
-        const obs::pmu_scope scope("pmu_test.outer");
+        const obs::span scope("pmu_test.outer");
         spin();
         {  // nested scopes attribute to their own site, not the outer's
-            const obs::pmu_scope inner("pmu_test.inner");
+            const obs::span inner("pmu_test.inner");
             spin();
         }
     }
@@ -191,10 +192,50 @@ TEST_F(ObsPmuTest, ScopesAreFreeWhileDisabled) {
         GTEST_SKIP() << "pmu unavailable: " << obs::pmu::available().reason;
     // Never enabled: scopes must not intern sites or touch counters.
     {
-        const obs::pmu_scope scope("pmu_test.never_enabled");
+        const obs::span scope("pmu_test.never_enabled");
         spin();
     }
     EXPECT_EQ(obs::pmu::site_totals("pmu_test.never_enabled").spans, 0u);
+}
+
+TEST_F(ObsPmuTest, OneNamingCallNamesThePmuThread) {
+    if (!obs::pmu::available().counting())
+        GTEST_SKIP() << "pmu unavailable: " << obs::pmu::available().reason;
+    obs::name_thread("pmu-named-thread");
+    ASSERT_TRUE(obs::pmu::read_current().ok);  // opens this thread's group
+    bool found = false;
+    for (const obs::pmu::thread_sample& ts : obs::pmu::thread_snapshot())
+        found = found || ts.name == "pmu-named-thread";
+    EXPECT_TRUE(found);
+    const std::string json = obs::pmu::snapshot_json();
+    EXPECT_NE(json.find("\"pmu-named-thread\""), std::string::npos) << json;
+}
+
+TEST_F(ObsPmuTest, OneSpanFeedsHistogramTraceAndPmuSite) {
+    obs::registry reg;
+    const obs::histogram h = reg.get_histogram("pmu_test_span_seconds");
+    const bool counting = obs::pmu::available().counting();
+    obs::tracer::reset();
+    obs::tracer::enable();
+    obs::pmu::enable();  // no-op where the probe found nothing
+    {
+        const obs::span scope("pmu_test.one_scope", h);
+        spin();
+    }
+    obs::pmu::disable();
+    std::size_t records = 0;
+    for (const obs::span_record& r : obs::tracer::snapshot())
+        records += std::string(r.name) == "pmu_test.one_scope";
+    obs::tracer::reset();
+    EXPECT_EQ(h.count(), 1u);
+    EXPECT_GT(h.sum(), 0.0);
+    EXPECT_EQ(records, 1u);
+    if (!counting)
+        GTEST_SKIP() << "pmu unavailable: " << obs::pmu::available().reason;
+    const obs::pmu::site_stats site =
+        obs::pmu::site_totals("pmu_test.one_scope");
+    EXPECT_EQ(site.spans, 1u);
+    EXPECT_TRUE(site.has(obs::pmu::counter::task_clock_ns));
 }
 
 // ---- snapshot, export, HTTP ----
@@ -202,7 +243,7 @@ TEST_F(ObsPmuTest, ScopesAreFreeWhileDisabled) {
 TEST_F(ObsPmuTest, SnapshotJsonIsWellFormedAndHtmlRenders) {
     if (obs::pmu::available().counting()) {
         obs::pmu::enable();
-        const obs::pmu_scope scope("pmu_test.snapshot");
+        const obs::span scope("pmu_test.snapshot");
         spin();
     }
     const std::string json = obs::pmu::snapshot_json();
@@ -219,7 +260,7 @@ TEST_F(ObsPmuTest, ExportGaugesPublishesAvailabilityAndSites) {
     obs::registry reg;
     if (obs::pmu::available().counting()) {
         obs::pmu::enable();
-        const obs::pmu_scope scope("pmu_test.export");
+        const obs::span scope("pmu_test.export");
         spin();
     }
     obs::pmu::export_gauges(reg);
@@ -240,7 +281,7 @@ TEST_F(ObsPmuTest, PmuEndpointServesJsonAndHtml) {
     ASSERT_TRUE(server.start(0, &reg, &error)) << error;
     if (obs::pmu::available().counting()) {
         obs::pmu::enable();
-        const obs::pmu_scope scope("pmu_test.http");
+        const obs::span scope("pmu_test.http");
         spin();
     }
     const std::string json_reply = http_get(server.port(), "/pmu");

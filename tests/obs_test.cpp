@@ -129,21 +129,27 @@ TEST(ObsHandleTest, NullHandlesAreSafeNoOps) {
     EXPECT_EQ(h.count(), 0u);
 }
 
-TEST(ObsTimerTest, PhaseTimerObservesOnceIntoTheHistogram) {
+TEST(ObsScopeTest, SpanObservesOnceIntoTheHistogram) {
     obs::registry reg;
     const obs::histogram h = reg.get_histogram("t_seconds");
     {
-        obs::phase_timer timer(h);
-        const double s = timer.stop();
-        EXPECT_GE(s, 0.0);
-        EXPECT_EQ(timer.stop(), 0.0);  // second stop is a no-op
-    }  // destructor must not observe again
-    EXPECT_EQ(h.count(), 1u);
+        const obs::span span("t_phase", h);
+        EXPECT_EQ(h.count(), 0u);  // observed at scope exit, not before
+    }
+    EXPECT_EQ(h.count(), 1u);  // exactly once
+    EXPECT_GE(h.sum(), 0.0);   // the elapsed seconds
 }
 
-TEST(ObsTimerTest, NullHistogramTimerIsInert) {
-    obs::phase_timer timer{obs::histogram{}};
-    EXPECT_EQ(timer.stop(), 0.0);
+TEST(ObsScopeTest, NullHistogramSpanIsInert) {
+    ASSERT_FALSE(obs::tracer::enabled());
+    ASSERT_FALSE(obs::pmu::enabled());
+    const obs::histogram null_hist;
+    {
+        const obs::span span("t_inert", null_hist);
+        EXPECT_EQ(span.context().span_id, 0u);  // no tracer span opened
+    }
+    EXPECT_EQ(null_hist.count(), 0u);
+    EXPECT_EQ(obs::pmu::site_totals("t_inert").spans, 0u);
 }
 
 // ---------------------------------------------------------------------
@@ -250,6 +256,16 @@ TEST(ObsExportTest, LabelValuesAreEscaped) {
     EXPECT_TRUE(v6::testing::json_checker::valid(reg.json_text()));
 }
 
+TEST(ObsExportTest, JsonEscapesControlCharactersInLabels) {
+    obs::registry reg;
+    reg.get_counter("t_total", {{"path", "x\ty"}}).inc();
+    const std::string json = reg.json_text();
+    EXPECT_TRUE(v6::testing::json_checker::valid(json)) << json;
+    EXPECT_NE(json.find("\"path\":\"x\\ty\""), std::string::npos) << json;
+    // Prometheus text keeps its own escaping: only \\, \" and \n.
+    EXPECT_NE(reg.prometheus_text().find("path=\"x\ty\""), std::string::npos);
+}
+
 TEST(ObsExportTest, JsonDumpIsWellFormedAndComplete) {
     obs::registry reg;
     reg.get_counter("t_requests_total").inc(3);
@@ -289,7 +305,7 @@ TEST(ObsTraceTest, ScopesAreRecordedAndFlushedAsJson) {
     EXPECT_FALSE(obs::trace_log::flush());  // disabled: nothing to write
     obs::trace_log::enable(path.string());
     EXPECT_TRUE(obs::trace_log::enabled());
-    { const obs::trace_scope span("unit_phase"); }
+    { const obs::span span("unit_phase"); }
     ASSERT_TRUE(obs::trace_log::flush());
     std::stringstream buf;
     buf << std::ifstream(path).rdbuf();

@@ -1,6 +1,6 @@
 // Tests for the execution tracer (per-thread span rings, cross-thread
-// context propagation through the v6::par pool) and the sampling
-// self-profiler.
+// context propagation through the v6::par pool), the one thread
+// registry behind name_thread(), and the sampling self-profiler.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -211,9 +211,9 @@ TEST_F(ObsTracerTest, ConcurrentEmitAndSnapshot) {
 
 TEST_F(ObsTracerTest, ChromeJsonShapeAndThreadNames) {
     obs::tracer::enable();
-    obs::tracer::set_thread_name("trace-test-main");
+    obs::name_thread("trace-test-main");
     {
-        const obs::span s("alpha", obs::span_kind::merge);
+        const obs::span s("alpha", {}, obs::span_kind::merge);
     }
     const std::string json = obs::tracer::chrome_json();
     EXPECT_TRUE(json_checker::valid(json)) << json;
@@ -252,6 +252,74 @@ TEST(ObsProfilerTest, StartSamplesAndStops) {
     // registered as "main" by start().
     EXPECT_NE(folded.find("main"), std::string::npos);
     EXPECT_NE(folded.find(' '), std::string::npos);
+}
+
+/// Spins until `done` holds or `seconds` pass, so SIGPROF samples land
+/// on the calling thread.
+template <class Done>
+void spin_until(Done done, int seconds) {
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(seconds);
+    std::atomic<std::uint64_t> sink{0};
+    while (!done() && std::chrono::steady_clock::now() < deadline) {
+        for (int i = 0; i < 100000; ++i)
+            sink.fetch_add(static_cast<std::uint64_t>(i),
+                           std::memory_order_relaxed);
+    }
+}
+
+TEST(ObsProfilerTest, OneNamingCallNamesTraceAndProfile) {
+    obs::tracer::reset();
+    obs::tracer::enable();
+    obs::name_thread("obs-named-thread");
+    { const obs::span s("named_work"); }
+    const std::string json = obs::tracer::chrome_json();
+    EXPECT_TRUE(json_checker::valid(json)) << json;
+    EXPECT_NE(json.find("\"thread_name\""), std::string::npos);
+    EXPECT_NE(json.find("\"obs-named-thread\""), std::string::npos) << json;
+    obs::tracer::reset();
+
+    if (!obs::profiler::start(500)) GTEST_SKIP() << "profiler unsupported";
+    spin_until([] { return obs::profiler::sample_count() > 0; }, 10);
+    obs::profiler::stop();
+    ASSERT_GE(obs::profiler::sample_count(), 1u);
+    // start() keeps the registered name instead of calling the thread
+    // "main": profiler stacks carry the one name the thread was given.
+    const std::string folded = "\n" + obs::profiler::folded_text();
+    EXPECT_NE(folded.find("\nobs-named-thread;"), std::string::npos) << folded;
+    EXPECT_EQ(folded.find("\nmain;"), std::string::npos) << folded;
+}
+
+TEST(ObsProfilerTest, DroppedSamplesAreExportedAsACounter) {
+    // A high rate fills this thread's buffer within a second or so; the
+    // samples past samples_per_thread are dropped, not recorded.
+    if (!obs::profiler::start(20000)) GTEST_SKIP() << "profiler unsupported";
+    spin_until([] { return obs::profiler::dropped() > 0; }, 60);
+    obs::profiler::stop();
+    const std::uint64_t dropped = obs::profiler::dropped();
+    ASSERT_GE(dropped, 1u);
+    EXPECT_GE(obs::profiler::sample_count(),
+              obs::profiler::samples_per_thread);
+
+    obs::registry reg;
+    obs::update_process_gauges(reg);
+    const std::string text = reg.prometheus_text();
+    EXPECT_NE(text.find("# TYPE v6_profile_dropped_samples_total counter\n"),
+              std::string::npos)
+        << text;
+    EXPECT_NE(text.find("\nv6_profile_dropped_samples_total " +
+                        std::to_string(dropped) + "\n"),
+              std::string::npos)
+        << text;
+
+    // A fresh run restarts the profiler's count; the exported counter
+    // never moves back.
+    ASSERT_TRUE(obs::profiler::start(97));
+    obs::profiler::stop();
+    EXPECT_LT(obs::profiler::dropped(), dropped);
+    obs::update_process_gauges(reg);
+    EXPECT_EQ(reg.get_counter("v6_profile_dropped_samples_total").value(),
+              dropped);
 }
 
 TEST(ObsProfilerTest, SecondStartWhileRunningFails) {

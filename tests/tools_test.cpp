@@ -3,11 +3,14 @@
 // from the V6CLASS_TOOLS_DIR compile definition.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "json_lite.h"
 
@@ -418,6 +421,62 @@ TEST_F(ToolsTest, StreamMetricsOutPrometheusAgreesWithFinalReport) {
               std::string::npos);
     EXPECT_NE(prom.find("v6_stream_seal_latency_seconds_bucket"),
               std::string::npos);
+
+    // The default /metrics surface, pinned: a series family added or
+    // removed anywhere in the pipeline must change this list visibly.
+    std::vector<std::string> families;
+    std::istringstream lines(prom);
+    for (std::string line; std::getline(lines, line);)
+        if (line.rfind("# TYPE ", 0) == 0)
+            families.push_back(line.substr(7, line.find(' ', 7) - 7));
+    std::sort(families.begin(), families.end());
+    const std::vector<std::string> expected = {
+        "v6_par_active_seats",
+        "v6_par_pool_utilization",
+        "v6_par_pool_workers",
+        "v6_par_tasks_total",
+        "v6_process_rss_bytes",
+        "v6_profile_dropped_samples_total",
+        "v6_spatial_density_table_seconds",
+        "v6_spatial_mra_seconds",
+        "v6_stream_batches_total",
+        "v6_stream_distinct_addresses",
+        "v6_stream_distinct_projected",
+        "v6_stream_dropped_total",
+        "v6_stream_epoch_lag_days",
+        "v6_stream_fed_total",
+        "v6_stream_hits_total",
+        "v6_stream_ingest_rate",
+        "v6_stream_late_total",
+        "v6_stream_malformed_total",
+        "v6_stream_open_day",
+        "v6_stream_queue_depth",
+        "v6_stream_queue_high_water",
+        "v6_stream_records_total",
+        "v6_stream_report_build_seconds",
+        "v6_stream_seal_latency_seconds",
+        "v6_stream_sealed_day",
+        "v6_stream_seals_total",
+        "v6_stream_shard_records_total",
+        "v6_temporal_classify_day_seconds",
+        "v6_temporal_record_day_seconds",
+        "v6_trace_dropped_spans_total",
+        "v6class_active_addresses",
+        "v6class_day_distinct_48s_estimate",
+        "v6class_day_distinct_64s_estimate",
+        "v6class_day_distinct_addresses_estimate",
+        "v6class_dense_prefixes",
+        "v6class_drift_events_total",
+        "v6class_gamma16_48",
+        "v6class_gamma1_64",
+        "v6class_gamma4_60",
+        "v6class_hits_p50",
+        "v6class_hits_p99",
+        "v6class_pmu_available",
+        "v6class_simd_level",
+        "v6class_stable_fraction",
+    };
+    EXPECT_EQ(families, expected);
     fs::remove(out);
 }
 

@@ -428,7 +428,7 @@ inline std::optional<std::vector<address>> read_input_addresses(const flag_set& 
     static const obs::histogram read_hist = obs::registry::global().get_histogram(
         "v6_tools_read_input_seconds", obs::latency_buckets(), {},
         "Time to read and parse the input address list.");
-    const obs::trace_scope span("read_input", read_hist);
+    const obs::span span("read_input", read_hist);
     std::vector<address> addrs;
     read_report report;
     std::string source = "<stdin>";
