@@ -302,7 +302,9 @@ private:
     };
 
     // push_mutex_ held: the per-lane core behind push() and push_block().
-    void push_lane_locked(int day, std::uint64_t hi, std::uint64_t lo,
+    // Counts late and dropped records; returns true when the record was
+    // accepted, which the callers count (with fed and hits) themselves.
+    bool push_lane_locked(int day, std::uint64_t hi, std::uint64_t lo,
                           std::uint64_t hits);
     void worker_loop(unsigned shard);
     void roll_loop();
@@ -312,8 +314,8 @@ private:
     /// state_mutex_ held exclusively, shards just sealed: merges the
     /// day's new /64s (disjoint across shards) into prefix_run_, and
     /// counts the classes with p < 64 from the shards' new addresses —
-    /// their store keys past `seen`, each shard's pre-seal distinct count.
-    void merge_prefix_run(const std::vector<std::size_t>& seen);
+    /// each run's fresh keys, read in place.
+    void merge_prefix_run();
     /// state_mutex_ held (either mode): the sealed state's totals,
     /// summed over the shards and the engine-level parts.
     std::size_t distinct_addresses_locked() const;

@@ -299,6 +299,31 @@ EOF
         rm -rf "${smoke}"
         echo "shard invariance passed"
 
+        # Long histories: a year of days, so addresses that return past
+        # their first 64 days run their day bitmaps into the records'
+        # overflow words (and past 128 days into several of them). Same
+        # pattern as above: stdout byte-identical at every shard count,
+        # under the default window and under one wider than a bitmap
+        # word (--back=100), whose splits read across those words.
+        echo "=== long history: a year replayed across shard counts ==="
+        smoke=$(mktemp -d)
+        ./build/tools/v6synth --wire="${smoke}/year.v6w" \
+            --first=300 --last=664 --scale=0.05 --seed=7
+        for shards in 1 3 8; do
+            ./build/tools/v6stream --replay="${smoke}/year.v6w" \
+                --shards="${shards}" >"${smoke}/shards${shards}.json"
+            ./build/tools/v6stream --replay="${smoke}/year.v6w" \
+                --shards="${shards}" --back=100 --fwd=3 --n=70 \
+                >"${smoke}/wide${shards}.json"
+        done
+        grep -q '"type":"final"' "${smoke}/shards1.json"
+        for shards in 3 8; do
+            cmp "${smoke}/shards1.json" "${smoke}/shards${shards}.json"
+            cmp "${smoke}/wide1.json" "${smoke}/wide${shards}.json"
+        done
+        rm -rf "${smoke}"
+        echo "long history passed"
+
         # Stream vs batch window: the engine reads the windowed split off
         # its day bitmaps, the batch tool merges day sets. One small world,
         # written as a corpus and as a capture, classified both ways under

@@ -264,25 +264,37 @@ stream_engine::~stream_engine() { finish(); }
 
 void stream_engine::push(const stream_record& r) {
     std::unique_lock lock(push_mutex_);
-    push_lane_locked(r.day, r.addr.hi(), r.addr.lo(), r.hits);
+    m_.fed.inc();
+    if (push_lane_locked(r.day, r.addr.hi(), r.addr.lo(), r.hits)) {
+        m_.records.inc();
+        m_.hits.inc(r.hits);
+    }
 }
 
 void stream_engine::push_block(const simd::record_block& block) {
     // One lock acquisition per block (up to kWireMaxBatch records), not
-    // per record.
+    // per record, and one add per counter: the lock is held throughout,
+    // so readers under push_mutex_ see whole blocks. fed goes first, so
+    // fed >= records + late + dropped holds for lock-free readers too.
     std::unique_lock lock(push_mutex_);
+    m_.fed.inc(block.size());
     const std::uint64_t* his = block.addrs.hi();
     const std::uint64_t* los = block.addrs.lo();
+    std::uint64_t records = 0, hits = 0;
     for (std::size_t i = 0; i < block.size(); ++i)
-        push_lane_locked(block.day[i], his[i], los[i], block.hits[i]);
+        if (push_lane_locked(block.day[i], his[i], los[i], block.hits[i])) {
+            ++records;
+            hits += block.hits[i];
+        }
+    m_.records.inc(records);
+    m_.hits.inc(hits);
 }
 
-void stream_engine::push_lane_locked(int day, std::uint64_t hi,
+bool stream_engine::push_lane_locked(int day, std::uint64_t hi,
                                      std::uint64_t lo, std::uint64_t hits) {
-    m_.fed.inc();
     if (finished_) {
         m_.dropped.inc();
-        return;
+        return false;
     }
     if (open_day_ == kNoDay) {
         open_day_ = day;
@@ -293,7 +305,7 @@ void stream_engine::push_lane_locked(int day, std::uint64_t hi,
         // record would tear the epoch. Count it so operators can see
         // feed disorder beyond the tolerated batching slew.
         m_.late.inc();
-        return;
+        return false;
     }
     if (day > open_day_) {
         // Day boundary: everything staged belongs to the finished day;
@@ -307,8 +319,6 @@ void stream_engine::push_lane_locked(int day, std::uint64_t hi,
         if (m_.seals.value() > 0)
             m_.epoch_lag.set(day - m_.sealed_day.value());
     }
-    m_.records.inc();
-    m_.hits.inc(hits);
     if (cfg_.sketches && ++quantile_tick_ >= cfg_.quantile_sample) {
         quantile_tick_ = 0;
         const auto h = static_cast<double>(hits);
@@ -318,6 +328,7 @@ void stream_engine::push_lane_locked(int day, std::uint64_t hi,
     const auto shard = static_cast<unsigned>(fnv1a_p64(hi) % cfg_.shards);
     staging_[shard].push_back(hi, lo);
     if (staging_[shard].size() >= cfg_.batch_size) flush_shard_locked(shard);
+    return true;
 }
 
 void stream_engine::flush() {
@@ -481,13 +492,11 @@ void stream_engine::roll_loop() {
             std::unique_lock state(state_mutex_);
             // Shards share no sealed state, so each seals as one pool
             // task; the workers are parked, so nothing else touches them.
-            std::vector<std::size_t> seen(shards_.size());
             par::run_indexed(shards_.size(), [&](std::size_t i) {
                 obs::span shard_span("shard.seal");
-                seen[i] = shards_[i]->distinct_addresses();
                 shards_[i]->seal_day(day);
             });
-            merge_prefix_run(seen);
+            merge_prefix_run();
             if (cfg_.sketches) merge_day_sketches();
             sealed_day_ = day;
             m_.distinct_addresses.set(
@@ -780,18 +789,18 @@ simd::address_block stream_engine::merged_run_locked() const {
     simd::address_block out(0);
     out.reserve(distinct_addresses_locked());
     std::vector<std::size_t> sizes;
-    for (const auto& s : shards_) sizes.push_back(s->run().keys().size());
+    for (const auto& s : shards_) sizes.push_back(s->run().size());
     interleave_p64_groups(
         sizes,
-        [&](std::size_t i, std::size_t k) { return shards_[i]->run().keys().hi_at(k); },
+        [&](std::size_t i, std::size_t k) { return shards_[i]->run().hi()[k]; },
         [&](std::size_t i, std::size_t k) {
-            const simd::address_block& keys = shards_[i]->run().keys();
-            out.push_back(keys.hi_at(k), keys.lo_at(k));
+            const sorted_run& run = shards_[i]->run();
+            out.push_back(run.hi()[k], run.lo()[k]);
         });
     return out;
 }
 
-void stream_engine::merge_prefix_run(const std::vector<std::size_t>& seen) {
+void stream_engine::merge_prefix_run() {
     // Each shard's run merge found its new /64s; shards partition the
     // /64s, so together they are disjoint from each other and from the
     // run.
@@ -801,17 +810,17 @@ void stream_engine::merge_prefix_run(const std::vector<std::size_t>& seen) {
     prefix_run_.merge(fresh);
 
     // Classes with p < 64 straddle shards. Per /p prefix touched by the
-    // day's first sightings (m of them, over every shard), count its
-    // members g in the shards' merged runs by binary search on the hi
-    // lane: g - m of them are old, as in sorted_run::merge.
+    // day's first sightings (m of them, over every shard: each run's
+    // fresh keys), count its members g in the shards' merged runs by
+    // binary search on the hi lane: g - m of them are old, as in
+    // sorted_run::merge.
     for (std::size_t k = 0; k < coarse_classes_.size(); ++k) {
         const auto [need, p] = coarse_classes_[k];
         if (need == 0) continue;  // no prefix qualifies (as the sort path)
         const std::uint64_t mask = p == 0 ? 0 : ~0ull << (64 - p);
         std::vector<std::pair<std::uint64_t, std::uint64_t>> groups;  // (base, m)
-        for (std::size_t i = 0; i < shards_.size(); ++i) {
-            simd::address_block added(0);
-            shards_[i]->store().append_keys(added, seen[i]);
+        for (const auto& s : shards_) {
+            const simd::address_block& added = s->run().fresh();
             for (std::size_t j = 0; j < added.size(); ++j) {
                 const std::uint64_t base = added.hi_at(j) & mask;
                 if (groups.empty() || groups.back().first != base)
@@ -828,13 +837,13 @@ void stream_engine::merge_prefix_run(const std::vector<std::size_t>& seen) {
                 added += groups[g].second;
             std::uint64_t members = 0;
             for (std::size_t i = 0; i < shards_.size(); ++i) {
-                const simd::address_block& keys = shards_[i]->run().keys();
-                const std::uint64_t* end = keys.hi() + keys.size();
+                const sorted_run& run = shards_[i]->run();
+                const std::uint64_t* end = run.hi() + run.size();
                 const std::uint64_t* first =
-                    std::lower_bound(keys.hi() + from[i], end, base);
+                    std::lower_bound(run.hi() + from[i], end, base);
                 const std::uint64_t* last = std::upper_bound(first, end, base | ~mask);
                 members += static_cast<std::uint64_t>(last - first);
-                from[i] = static_cast<std::size_t>(last - keys.hi());
+                from[i] = static_cast<std::size_t>(last - run.hi());
             }
             density_count& count = coarse_counts_[k];
             if (members - added >= need) {

@@ -58,20 +58,26 @@ inline std::pair<std::uint64_t, std::uint64_t> prefix_masks(unsigned p) noexcept
 
 }  // namespace
 
-void sorted_run::merge(const simd::address_block& fresh,
+void sorted_run::merge(const simd::address_block& day,
+                       std::vector<std::uint32_t>* slots,
                        simd::address_block* new_prefixes) {
-    const std::size_t m = fresh.size();
-    if (m == 0) return;
+    fresh_.clear();
+    at_.clear();
+    if (day.empty()) return;
     obs::span span("merge_run", {}, obs::span_kind::merge);
-    const std::uint64_t* fh = fresh.hi();
-    const std::uint64_t* fl = fresh.lo();
-    const std::size_t n = keys_.size();
-    const std::uint64_t* rh = keys_.hi();
-    const std::uint64_t* rl = keys_.lo();
+    const std::uint64_t* dh = day.hi();
+    const std::uint64_t* dl = day.lo();
+    const std::size_t n = hi_.size();
+    const std::uint64_t* rh = hi_.data();
+    const std::uint64_t* rl = lo_.data();
+    fresh_.reserve(day.size());
+    if (slots) slots->reserve(slots->size() + day.size());
 
-    // One forward sweep over the new keys finds each one's insertion
-    // point in the old run (galloping: they are sorted) and updates the
-    // summaries while the run's lines around it are still in cache.
+    // One forward sweep over the day's keys finds each one's place in
+    // the old run (galloping: they are sorted). A key found there keeps
+    // its slot; every other key is new, and updates the summaries while
+    // the run's lines around it are still in cache. Below, x1, x2, ...
+    // are the new keys (fresh_), and at_[k] is xk's insertion point.
     //
     // MRA: the new keys landing between old neighbours a and b form one
     // group x1..xk; the pair (a, b) stops being adjacent and (a, x1),
@@ -85,7 +91,8 @@ void sorted_run::merge(const simd::address_block& fresh,
     // g old members are those plus the prefix's neighbours on either
     // side, counted only up to n. A prefix already dense gains m'
     // covered keys; one that crosses n becomes dense with all g + m'.
-    std::vector<std::size_t> at(m);
+    const std::uint64_t* fh = fresh_.hi();  // reserved: stable
+    const std::uint64_t* fl = fresh_.lo();
     struct class_scan {
         std::uint64_t mh = 0, ml = 0;
         std::size_t first = 0;  // the open /p group's first new key
@@ -101,7 +108,7 @@ void sorted_run::merge(const simd::address_block& fresh,
         const auto inside = [&](std::size_t k) {
             return (rh[k] & sc.mh) == bh && (rl[k] & sc.ml) == bl;
         };
-        std::size_t lo = at[sc.first], hi = at[last];
+        std::size_t lo = at_[sc.first], hi = at_[last];
         std::uint64_t old = hi - lo;
         while (lo > 0 && old < need && inside(lo - 1)) --lo, ++old;
         while (hi < n && old < need && inside(hi)) ++hi, ++old;
@@ -114,14 +121,21 @@ void sorted_run::merge(const simd::address_block& fresh,
             count.covered += old + added;
         }
     };
-    for (std::size_t i = 0, from = 0; i < m; ++i) {
-        const std::size_t j = from = at[i] =
-            gallop_lower_bound(rh, rl, from, n, fh[i], fl[i]);
-        if (i > 0 && at[i - 1] == j) {
+    for (std::size_t d = 0, from = 0; d < day.size(); ++d) {
+        const std::size_t j = from = gallop_lower_bound(rh, rl, from, n, dh[d], dl[d]);
+        if (j < n && rh[j] == dh[d] && rl[j] == dl[d]) {
+            if (slots) slots->push_back(slots_[j]);
+            continue;
+        }
+        const std::size_t i = fresh_.size();
+        if (slots) slots->push_back(static_cast<std::uint32_t>(n + i));
+        fresh_.push_back(dh[d], dl[d]);
+        at_.push_back(j);
+        if (i > 0 && at_[i - 1] == j) {
             ++hist_[lane_cpl(fh[i - 1], fl[i - 1], fh[i], fl[i])];
         } else {
-            if (i > 0 && at[i - 1] < n)  // close the previous group: (xk, b)
-                ++hist_[lane_cpl(fh[i - 1], fl[i - 1], rh[at[i - 1]], rl[at[i - 1]])];
+            if (i > 0 && at_[i - 1] < n)  // close the previous group: (xk, b)
+                ++hist_[lane_cpl(fh[i - 1], fl[i - 1], rh[at_[i - 1]], rl[at_[i - 1]])];
             if (j > 0 && j < n) --hist_[lane_cpl(rh[j - 1], rl[j - 1], rh[j], rl[j])];
             if (j > 0) ++hist_[lane_cpl(rh[j - 1], rl[j - 1], fh[i], fl[i])];
         }
@@ -137,25 +151,31 @@ void sorted_run::merge(const simd::address_block& fresh,
             sc.first = i;
         }
     }
-    if (at[m - 1] < n)
-        ++hist_[lane_cpl(fh[m - 1], fl[m - 1], rh[at[m - 1]], rl[at[m - 1]])];
+    const std::size_t m = fresh_.size();
+    if (m == 0) return;
+    if (at_[m - 1] < n)
+        ++hist_[lane_cpl(fh[m - 1], fl[m - 1], rh[at_[m - 1]], rl[at_[m - 1]])];
     for (std::size_t c = 0; c < scans.size(); ++c) close_group(c, m - 1);
 
     // Merge in place from the back: each old element moves right by the
     // number of new keys below it, so walking the new keys downward
-    // shifts every old segment once, then drops the key into its gap.
-    keys_.resize(n + m);
-    std::uint64_t* wh = keys_.hi();
-    std::uint64_t* wl = keys_.lo();
-    std::size_t end = n;
-    for (std::size_t i = m; i-- > 0;) {
-        const std::size_t j = at[i];
-        std::memmove(wh + j + i + 1, wh + j, (end - j) * sizeof(std::uint64_t));
-        std::memmove(wl + j + i + 1, wl + j, (end - j) * sizeof(std::uint64_t));
-        wh[j + i] = fh[i];
-        wl[j + i] = fl[i];
-        end = j;
-    }
+    // shifts every old segment once, then drops the new value into its
+    // gap. One lane at a time, so each pass streams through one array;
+    // keys and slots land at the same positions.
+    const auto merge_lane = [&](auto& lane, auto&& fresh_value) {
+        lane.resize(n + m);
+        auto* w = lane.data();
+        std::size_t end = n;
+        for (std::size_t i = m; i-- > 0;) {
+            const std::size_t j = at_[i];
+            std::memmove(w + j + i + 1, w + j, (end - j) * sizeof(*w));
+            w[j + i] = fresh_value(i);
+            end = j;
+        }
+    };
+    merge_lane(hi_, [&](std::size_t i) { return fh[i]; });
+    merge_lane(lo_, [&](std::size_t i) { return fl[i]; });
+    merge_lane(slots_, [&](std::size_t i) { return static_cast<std::uint32_t>(n + i); });
 }
 
 stream_shard::stream_shard(std::vector<density_class> classes,
@@ -172,7 +192,10 @@ void stream_shard::seal_day(int day) {
         today.slots = std::move(ring_.front().slots);
         ring_.pop_front();
     }
-    if (pending_.empty()) return;  // a day with no records for this shard
+    if (pending_.empty()) {  // a day with no records for this shard
+        run_.merge(pending_);  // empties fresh(), which the engine reads next
+        return;
+    }
     first_day_ = std::min(first_day_, day);
 
     // Sort + dedupe the staged lanes in place (radix-partitioned on the
@@ -182,18 +205,20 @@ void stream_shard::seal_day(int day) {
         obs::span sort_span("sort_unique");
         simd::sort_unique_block(pending_);
     }
-    // The day's slots come out in the sorted lanes' order.
+    // The day's slots come out in the sorted lanes' order; the new keys'
+    // slots are the next free ones, so they fold in as new records.
     today.day = day;
     today.slots.clear();
-    const std::size_t seen = store_.distinct_count();
-    store_.record_day(day, pending_, &today.slots);
+    run_.merge(pending_, &today.slots, &fresh64_);
+    {
+        static const obs::histogram phase = obs::registry::global().get_histogram(
+            "v6_temporal_record_day_seconds", obs::latency_buckets(), {},
+            "Time to fold one day of active addresses into the lifetime store.");
+        const obs::span span("record_day", phase);
+        records_.fold(day, today.slots);
+    }
     ring_.push_back(std::move(today));
     pending_.clear();
-    // The store's keys past its pre-seal count are the day's first
-    // sightings, in the sorted order record_day walked them.
-    simd::address_block fresh(0);
-    store_.append_keys(fresh, seen);
-    run_.merge(fresh, &fresh64_);
     prefixes_ += fresh64_.size();
 }
 
@@ -204,43 +229,45 @@ void stream_shard::classify_slots(int ref_day, unsigned n, Visit&& visit) const 
         "Time to nd-stable-classify one reference day against its window.");
     const obs::span span("classify_day", phase);
     if (ref_day < first_day_ || ref_day > sealed_) return;
-    const auto entry = std::find_if(ring_.begin(), ring_.end(),
-                                    [&](const day_slots& d) { return d.day == ref_day; });
-    const std::vector<std::uint32_t>* slots = entry != ring_.end() ? &entry->slots : nullptr;
-    std::vector<std::uint32_t> scanned;
-    if (!slots) {
-        // Inside the ring's range the day staged no lanes here; older
-        // than the ring, its addresses are found by one pass over the
-        // store, then sorted.
-        if (in_ring_range(ref_day)) return;
-        for (std::uint32_t slot = 0; slot < store_.distinct_count(); ++slot)
-            if (store_.active_on(slot, ref_day)) scanned.push_back(slot);
-        std::sort(scanned.begin(), scanned.end(),
-                  [&](std::uint32_t a, std::uint32_t b) {
-                      return store_.key(a) < store_.key(b);
-                  });
-        slots = &scanned;
-    }
     // As stability_analyzer: the span of the address's active days in
     // the window, the reference day itself always among them.
     const int lo = ref_day - window_.window_back;
     const int hi = ref_day + window_.window_fwd;
     const int required_gap = static_cast<int>(n) + window_.slew_tolerance;
-    for (const std::uint32_t slot : *slots) {
+    const auto classify = [&](std::uint32_t slot) {
         int first = ref_day, last = ref_day;
-        if (const auto span_days = store_.window(slot, lo, hi)) {
+        if (const auto span_days = records_.window(slot, lo, hi)) {
             first = std::min(first, span_days->first);
             last = std::max(last, span_days->second);
         }
         visit(slot, last - first >= required_gap);
+    };
+    if (in_ring_range(ref_day)) {
+        // The ring holds the day's slots, unless it staged no lanes here.
+        const auto entry = std::find_if(ring_.begin(), ring_.end(),
+                                        [&](const day_slots& d) { return d.day == ref_day; });
+        if (entry != ring_.end())
+            for (const std::uint32_t slot : entry->slots) classify(slot);
+        return;
     }
+    // Older than the ring: the records say which addresses were active.
+    for (std::uint32_t slot = 0; slot < records_.size(); ++slot)
+        if (records_.active_on(slot, ref_day)) classify(slot);
 }
 
 stability_split stream_shard::classify_day(int ref_day, unsigned n) const {
-    stability_split out;
+    // Per slot: 0 inactive on ref_day, 1 not stable, 2 stable. Then one
+    // ordered pass over the run's slot lane lists them in address order.
+    std::vector<std::uint8_t> state;
     classify_slots(ref_day, n, [&](std::uint32_t slot, bool stable) {
-        (stable ? out.stable : out.not_stable).push_back(store_.key(slot));
+        if (state.empty()) state.resize(records_.size());
+        state[slot] = stable ? 2 : 1;
     });
+    stability_split out;
+    if (state.empty()) return out;
+    for (std::size_t k = 0; k < run_.size(); ++k)
+        if (const std::uint8_t s = state[run_.slot(k)])
+            (s == 2 ? out.stable : out.not_stable).push_back(run_.key(k));
     return out;
 }
 

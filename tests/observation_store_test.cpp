@@ -6,6 +6,7 @@
 #include <set>
 
 #include "v6class/netgen/rng.h"
+#include "v6class/simd/lane.h"
 #include "v6class/temporal/observation_store.h"
 #include "v6class/temporal/stability.h"
 
@@ -142,51 +143,10 @@ TEST(ObservationStoreTest, PrefixProjection) {
     EXPECT_EQ(store.days_seen(address::from_pair(0xaa, 99)), 1u);
 }
 
-TEST(ObservationStoreTest, KeysPastAPreviousCountAreTheDaysFirstSightings) {
-    observation_store store;
-    store.record_day(10, {nth(4), nth(2)});
-    const std::size_t before = store.distinct_count();
-    store.record_day(11, {nth(1), nth(2), nth(3), nth(4)});
-    simd::address_block tail(0);
-    store.append_keys(tail, before);
-    EXPECT_EQ(tail.to_vector(), (std::vector<address>{nth(1), nth(3)}));
-    simd::address_block all(0);
-    store.append_keys(all, 0);
-    EXPECT_EQ(all.to_vector(),
-              (std::vector<address>{nth(4), nth(2), nth(1), nth(3)}));
-    simd::address_block none(0);
-    store.append_keys(none, store.distinct_count());
-    EXPECT_TRUE(none.empty());
-}
-
-TEST(ObservationStoreTest, RecordDaySlotsFollowTheInputKeys) {
-    observation_store store;
-    store.record_day(10, {nth(7), nth(3)});
-    simd::address_block day(0);
-    for (const unsigned i : {1u, 3u, 3u, 5u, 7u, 9u}) day.push_back(nth(i));
-    std::vector<std::uint32_t> slots = {42};  // appended to, not replaced
-    store.record_day(11, day, &slots);
-    ASSERT_EQ(slots.size(), day.size() + 1);
-    EXPECT_EQ(slots.front(), 42u);
-    for (std::size_t i = 0; i < day.size(); ++i)
-        EXPECT_EQ(store.key(slots[i + 1]), day.to_vector()[i]) << i;
-    // Old keys keep their first-sighting slots; new ones follow.
-    EXPECT_EQ(slots[2], 1u);  // nth(3)
-    EXPECT_EQ(slots[5], 0u);  // nth(7)
-    EXPECT_EQ(slots[1], 2u);  // nth(1)
-    // A slot outlives the rehashes of a growing store.
-    simd::address_block many(0);
-    for (unsigned i = 100; i < 5000; ++i) many.push_back(nth(i));
-    store.record_day(12, many);
-    EXPECT_EQ(store.key(slots[2]), nth(3));
-    EXPECT_TRUE(store.active_on(slots[2], 10));
-    EXPECT_TRUE(store.active_on(slots[2], 11));
-    EXPECT_FALSE(store.active_on(slots[2], 12));
-}
-
-// The window read against a brute-force scan of each address's active
+// The 16-byte records' reads (first and last day, day count, membership
+// and the window) against a brute-force scan of each address's active
 // days, over spans far past one 64-day word and after earlier days were
-// recorded last (each rebasing the bitmaps).
+// recorded last (each rebasing the bitmaps and moving pool blocks).
 TEST(ObservationStoreTest, WindowMatchesBruteForceScan) {
     constexpr unsigned kAddrs = 48;
     constexpr int kDays = 230;
@@ -212,21 +172,26 @@ TEST(ObservationStoreTest, WindowMatchesBruteForceScan) {
     std::reverse(std::find_if(schedule.begin(), schedule.end(),
                               [](const auto& e) { return e.first < kDays / 2; }),
                  schedule.end());
-    observation_store store;
-    std::vector<std::uint32_t> slot_of(kAddrs, 0);
-    for (const auto& [day, block] : schedule) {
-        std::vector<std::uint32_t> slots;
-        store.record_day(day, block, &slots);
-        for (std::size_t k = 0; k < block.size(); ++k)
-            slot_of[block.lo_at(k) - 0x5000u] = slots[k];
-    }
+    day_records store;
+    constexpr std::uint32_t kNone = 0xffffffffu;
+    std::vector<std::uint32_t> slot_of(kAddrs, kNone);
+    for (const auto& [day, block] : schedule)
+        for (std::size_t k = 0; k < block.size(); ++k) {
+            std::uint32_t& slot = slot_of[block.lo_at(k) - 0x5000u];
+            if (slot == kNone)
+                slot = store.add(day);
+            else
+                store.mark(slot, day);
+        }
     ASSERT_GT(active[7].size(), 20u);
     ASSERT_GT(*active[7].rbegin() - *active[7].begin(), 128);
 
     for (unsigned i = 0; i < kAddrs; ++i) {
         if (active[i].empty()) continue;
         const std::uint32_t slot = slot_of[i];
-        ASSERT_EQ(store.key(slot), nth(i));
+        EXPECT_EQ(store.first_day(slot), *active[i].begin()) << i;
+        EXPECT_EQ(store.last_day(slot), *active[i].rbegin()) << i;
+        EXPECT_EQ(store.days(slot), active[i].size()) << i;
         for (int day = -3; day < kDays + 3; ++day)
             EXPECT_EQ(store.active_on(slot, day), active[i].count(day) == 1)
                 << i << " day " << day;
@@ -245,6 +210,109 @@ TEST(ObservationStoreTest, WindowMatchesBruteForceScan) {
                 EXPECT_EQ(got->second, last) << i << " [" << lo << ", " << hi << "]";
             }
     }
+}
+
+// simd::lane, the growable storage under day_records and the stream's
+// sorted runs: growth through many pages (each a remap) keeps every
+// value, and new values are zero.
+TEST(SimdLaneTest, GrowthKeepsValues) {
+    simd::lane<std::uint64_t> a;
+    EXPECT_TRUE(a.empty());
+    for (std::uint64_t i = 0; i < 300000; ++i) a.push_back(i * 7);
+    ASSERT_EQ(a.size(), 300000u);
+    EXPECT_GE(a.capacity(), a.size());
+    for (std::uint64_t i = 0; i < a.size(); ++i) ASSERT_EQ(a[i], i * 7) << i;
+    a.resize(300010);
+    EXPECT_EQ(a[300009], 0u);
+    EXPECT_EQ(a[299999], 299999u * 7);
+}
+
+// day_records: the 16-byte record keeps word 0 inline and the words past
+// it in a shared, length-prefixed pool; the last day is read off the top
+// set bit.
+
+TEST(DayRecordsTest, LastDayIsTheTopSetBit) {
+    day_records recs;
+    const std::uint32_t a = recs.add(10);
+    EXPECT_EQ(recs.last_day(a), 10);
+    recs.mark(a, 73);  // bit 63: still word 0
+    EXPECT_EQ(recs.last_day(a), 73);
+    recs.mark(a, 74);  // bit 64: the first pool word
+    EXPECT_EQ(recs.last_day(a), 74);
+    recs.mark(a, 40);  // below the top: the last day stays
+    EXPECT_EQ(recs.last_day(a), 74);
+    recs.mark(a, 10 + 64 * 4 + 5);
+    EXPECT_EQ(recs.last_day(a), 10 + 64 * 4 + 5);
+    recs.mark(a, 3);  // an earlier first day shifts every word
+    EXPECT_EQ(recs.first_day(a), 3);
+    EXPECT_EQ(recs.last_day(a), 10 + 64 * 4 + 5);
+    EXPECT_EQ(recs.days(a), 6u);
+}
+
+// An earlier day arriving shifts the bitmap up across pool words: by
+// less than a word with a carry into a new top word, by exactly one and
+// by several words, and with no carry (the top word must stay non-zero
+// and no empty word may be added).
+TEST(DayRecordsTest, ShiftUpAcrossPoolWords) {
+    for (const int first : {299, 236, 200, 111, 40, 0}) {
+        std::set<int> want = {300, 301, 363, 364, 427, 500};
+        day_records recs;
+        const std::uint32_t slot = recs.add(300);
+        for (const int d : want) recs.mark(slot, d);
+        recs.mark(slot, first);
+        want.insert(first);
+        EXPECT_EQ(recs.first_day(slot), first);
+        EXPECT_EQ(recs.last_day(slot), 500) << first;
+        EXPECT_EQ(recs.days(slot), want.size()) << first;
+        for (int d = first - 2; d <= 502; ++d)
+            EXPECT_EQ(recs.active_on(slot, d), want.count(d) == 1)
+                << "first " << first << " day " << d;
+    }
+}
+
+// Records grow through the pool in turn, so each growth past its block
+// moves the record to the pool's end; no record may lose or gain a bit
+// and the records' spans must not bleed into each other.
+TEST(DayRecordsTest, PoolRelocationKeepsEveryRecordIntact) {
+    constexpr unsigned kRecords = 5;
+    day_records recs;
+    std::vector<std::set<int>> want(kRecords);
+    for (unsigned i = 0; i < kRecords; ++i) {
+        recs.add(0);
+        want[i].insert(0);
+    }
+    rng r{9};
+    for (int day = 1; day < 700; ++day)
+        for (unsigned i = 0; i < kRecords; ++i)
+            if (r.chance(0.1 + 0.15 * i)) {
+                recs.mark(i, day);
+                want[i].insert(day);
+            }
+    for (unsigned i = 0; i < kRecords; ++i) {
+        EXPECT_EQ(recs.last_day(i), *want[i].rbegin()) << i;
+        EXPECT_EQ(recs.days(i), want[i].size()) << i;
+        for (int d = 0; d < 702; ++d)
+            ASSERT_EQ(recs.active_on(i, d), want[i].count(d) == 1) << i << " day " << d;
+    }
+}
+
+// Gaps that end on, start on and straddle 64-day word boundaries.
+TEST(DayRecordsTest, GapHistogramAcrossWordBoundaries) {
+    day_records recs;
+    const std::uint32_t a = recs.add(0);
+    for (const int d : {63, 64, 127, 128, 200, 320}) recs.mark(a, d);
+    const std::uint32_t b = recs.add(5);
+    recs.mark(b, 5 + 64);  // gap of exactly one word
+    const auto gaps = recs.gap_histogram(130);
+    std::vector<std::uint64_t> want(131, 0);
+    ++want[63];   // 0 -> 63
+    ++want[1];    // 63 -> 64
+    ++want[63];   // 64 -> 127
+    ++want[1];    // 127 -> 128
+    ++want[72];   // 128 -> 200
+    ++want[120];  // 200 -> 320
+    ++want[64];   // b
+    EXPECT_EQ(gaps, want);
 }
 
 TEST(ObservationStoreTest, SpectrumIsMonotoneAndAnchored) {

@@ -20,9 +20,21 @@
 // there, with a day gap, a repeats-only day and one hot /64, so every
 // seal folds fresh keys into the engine's incremental MRA and density
 // updates and one shard's run outgrows the others.
+//
+// Then seeded property feeds over 200 days: duplicates within and
+// across push blocks and shard batches, late records (which the engine
+// drops and the oracle never sees), gap days, batch sizes 1, 7 and
+// 4096, and long-lived addresses whose activity spans more than 64 and
+// more than 192 days, so their day bitmaps run through three overflow
+// words (and move to a larger pool block twice). Every day report, the splits of ring days and of days older
+// than the ring (under a window wider than one bitmap word too), the
+// spectrum and the density rows match the batch classifiers. ctest runs
+// the whole suite twice: as is, and (prefix "scalar.") with the SIMD
+// dispatch pinned to the portable kernels by V6CLASS_FORCE_SCALAR.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <string>
 
 #include "v6class/netgen/rng.h"
@@ -365,6 +377,178 @@ TEST_P(StreamDifferential, WindowsReproduceBatchExactly) {
             for (const stream_record& rec : feed) engine.push(rec);
             engine.finish();
             expect_same_splits(engine, series, days);
+        }
+    }
+}
+
+// ------------------------------------------------------ property feeds
+
+constexpr int kPropFirstDay = 300;
+constexpr int kPropDays = 200;
+const class_list kPropClasses = {{1, 64}, {3, 120}, {2, 48}};
+
+// One seeded feed, as pushed: records in push order, late ones included.
+struct property_feed {
+    std::vector<stream_record> pushed;
+    std::vector<stream_record> accepted;  // what the engine keeps
+    std::uint64_t late = 0;
+};
+
+// Per day: a few of 64 long-lived addresses (each active on ~1 day in 8
+// across all 200 days), returning addresses of the last week, fresh
+// addresses in a few /64s and one /48, every record pushed 1-3 times in
+// shuffled order, and now and then a record of an earlier day that the
+// engine must drop as late. Days 340 and 341 are gaps.
+property_feed make_property_feed(std::uint64_t seed) {
+    rng r{seed};
+    std::vector<address> anchors;
+    for (unsigned i = 0; i < 64; ++i)
+        anchors.push_back(address::from_pair(0x20010db800c00000ull + i % 5, mix64(i + seed)));
+    std::vector<std::pair<int, address>> recent;
+    property_feed out;
+    for (int day = kPropFirstDay; day < kPropFirstDay + kPropDays; ++day) {
+        if (day == 340 || day == 341) continue;
+        std::vector<address> active;
+        for (const address& a : anchors)
+            if (r.chance(0.125) || day == kPropFirstDay || day == kPropFirstDay + kPropDays - 1)
+                active.push_back(a);
+        for (unsigned i = 0; i < 30 && !recent.empty(); ++i) {
+            const auto& [when, a] = recent[r.uniform(recent.size())];
+            if (day - when <= 7) active.push_back(a);
+        }
+        for (unsigned i = 0; i < 40; ++i) {
+            const std::uint64_t hi = r.chance(0.5) ? 0x20010db800d00000ull + r.uniform(6)
+                                                   : 0x20010db8aa000000ull + r.uniform(1u << 16);
+            const address a = address::from_pair(hi, r.uniform(1u << 12));
+            active.push_back(a);
+            recent.emplace_back(day, a);
+        }
+        std::vector<stream_record> today;
+        for (const address& a : active) {
+            const unsigned copies = 1 + static_cast<unsigned>(r.uniform(3));
+            for (unsigned k = 0; k < copies; ++k) today.push_back({day, a, 1 + r.uniform(4)});
+        }
+        std::shuffle(today.begin(), today.end(), r);
+        for (std::size_t i = 0; i < today.size(); ++i) {
+            out.pushed.push_back(today[i]);
+            out.accepted.push_back(today[i]);
+            if (i > 0 && day > kPropFirstDay && r.chance(0.02)) {  // late: dropped
+                out.pushed.push_back({day - 1 - static_cast<int>(r.uniform(3)),
+                                      anchors[r.uniform(anchors.size())], 1});
+                ++out.late;
+            }
+        }
+    }
+    return out;
+}
+
+// The batch answers for one feed, computed once and shared by every
+// shard count, batch size and window.
+struct property_oracle {
+    property_feed feed;
+    batch_state batch;
+    std::vector<int> days;
+    // Per sealed day: density rows and MRA ratios over the days so far.
+    std::map<int, std::vector<density_row>> day_density;
+    std::map<int, std::array<double, 3>> day_gammas;
+
+    explicit property_oracle(std::uint64_t seed)
+        : feed(make_property_feed(seed)), batch(feed.accepted), days(feed_days(feed.accepted)) {
+        std::vector<address> seen;
+        for (const int day : days) {
+            for (const stream_record& rec : feed.accepted)
+                if (rec.day == day) seen.push_back(rec.addr);
+            std::sort(seen.begin(), seen.end());
+            seen.erase(std::unique(seen.begin(), seen.end()), seen.end());
+            radix_tree tree;
+            for (const address& a : seen) tree.add(a);
+            day_density[day] = compute_density_table(tree, kPropClasses);
+            const mra_series mra = compute_mra_from_trie(tree);
+            day_gammas[day] = {mra.ratio(64, 1), mra.ratio(60, 4), mra.ratio(48, 16)};
+        }
+    }
+};
+
+const property_oracle& oracle_for(std::uint64_t seed) {
+    static std::map<std::uint64_t, property_oracle> cache;
+    auto it = cache.find(seed);
+    if (it == cache.end()) it = cache.try_emplace(seed, seed).first;
+    return it->second;
+}
+
+TEST_P(StreamDifferential, PropertyFeedsReproduceBatchExactly) {
+    for (const std::uint64_t seed : {11u, 12u}) {
+        const property_oracle& o = oracle_for(seed);
+        ASSERT_GT(o.feed.late, 0u);
+        // The feed reaches the third overflow word: some address spans
+        // more than 192 days.
+        const std::vector<std::uint64_t> spectrum = o.batch.store128.stability_spectrum(200);
+        ASSERT_GT(spectrum[193], 0u) << seed;
+        for (const stability_options window : {stability_options{}, stability_options{100, 5, 1}}) {
+            const stability_analyzer an(o.batch.series, window);
+            for (const std::size_t batch_size : {std::size_t{1}, std::size_t{7}, std::size_t{4096}}) {
+                const std::string at = "seed=" + std::to_string(seed) +
+                                       " back=" + std::to_string(window.window_back) +
+                                       " batch=" + std::to_string(batch_size);
+                stream_config cfg;
+                cfg.shards = GetParam();
+                cfg.batch_size = batch_size;
+                cfg.window = window;
+                cfg.density_classes = kPropClasses;
+                stream_engine engine(cfg);
+                // Blocks of 43 records, as the wire decoder hands them
+                // over: duplicates straddle block and batch boundaries.
+                simd::record_block block;
+                for (std::size_t i = 0; i < o.feed.pushed.size(); ++i) {
+                    const stream_record& rec = o.feed.pushed[i];
+                    block.push_back(rec.addr.hi(), rec.addr.lo(), rec.day, rec.hits);
+                    if (block.size() == 43 || i + 1 == o.feed.pushed.size()) {
+                        engine.push_block(block);
+                        block.clear();
+                    }
+                }
+                engine.finish();
+
+                const stream_stats stats = engine.stats();
+                EXPECT_EQ(stats.late_dropped, o.feed.late) << at;
+                EXPECT_EQ(stats.records, o.feed.accepted.size()) << at;
+                EXPECT_EQ(stats.fed, stats.records + stats.late_dropped + stats.dropped) << at;
+                EXPECT_EQ(stats.distinct_addresses, o.batch.distinct.size()) << at;
+                EXPECT_EQ(stats.distinct_projected, o.batch.store64.distinct_count()) << at;
+
+                // Every day report against the batch split, density and MRA.
+                const auto reports = engine.reports();
+                ASSERT_EQ(reports.size(), o.days.size()) << at;
+                for (const day_report& rep : reports) {
+                    const std::string on = at + " day=" + std::to_string(rep.day);
+                    const stability_split want = an.classify_day(rep.ref_day, cfg.stability_n);
+                    EXPECT_EQ(rep.stable, want.stable.size()) << on;
+                    EXPECT_EQ(rep.not_stable, want.not_stable.size()) << on;
+                    expect_same_rows(rep.density, o.day_density.at(rep.day), on);
+                    const std::array<double, 3>& g = o.day_gammas.at(rep.day);
+                    EXPECT_EQ(rep.gamma1, g[0]) << on;
+                    EXPECT_EQ(rep.gamma4, g[1]) << on;
+                    EXPECT_EQ(rep.gamma16, g[2]) << on;
+                }
+
+                // Splits of ring days (the last ones) and of days older
+                // than the ring, including the first day and a gap day.
+                const int last = o.days.back();
+                for (const int ref : {last, last - 2, last - 30, 340, kPropFirstDay + 70,
+                                      kPropFirstDay})
+                    for (const unsigned n : {1u, 3u, 80u}) {
+                        const stability_split want = an.classify_day(ref, n);
+                        const stability_split got = engine.classify_day(ref, n);
+                        EXPECT_EQ(got.stable, want.stable) << at << " ref=" << ref << " n=" << n;
+                        EXPECT_EQ(got.not_stable, want.not_stable)
+                            << at << " ref=" << ref << " n=" << n;
+                    }
+
+                EXPECT_EQ(engine.stability_spectrum(200), spectrum) << at;
+                expect_same_rows(engine.density_table(kPropClasses),
+                                 compute_density_table(o.batch.tree, kPropClasses), at);
+                EXPECT_EQ(engine.distinct_addresses(), o.batch.distinct) << at;
+            }
         }
     }
 }

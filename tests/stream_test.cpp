@@ -21,6 +21,7 @@
 #include "v6class/simd/address_block.h"
 #include "v6class/stream/bounded_queue.h"
 #include "v6class/stream/engine.h"
+#include "v6class/stream/shard.h"
 #include "v6class/temporal/stability.h"
 
 namespace v6 {
@@ -146,6 +147,58 @@ TEST(StreamRecordTest, ReaderToleratesCommentsAndCountsErrors) {
     EXPECT_EQ(report.malformed, 1u);
     ASSERT_EQ(report.first_errors.size(), 1u);
     EXPECT_EQ(report.first_errors[0].line_number, 4u);
+}
+
+// --------------------------------------------------------------- sorted_run
+
+// A merge hands out one slot per day key, in the day's order: the run's
+// slot for a key it holds, the next free slot for a new key. The slot
+// lane moves with the keys through the back merge, and fresh() is the
+// last merge's new keys, sorted.
+TEST(SortedRunTest, MergeSlotsFollowTheDayKeys) {
+    const auto key = [](unsigned i) { return address::from_pair(0x20010db8ull << 32, i); };
+    const auto block = [&](std::initializer_list<unsigned> ids) {
+        simd::address_block b(0);
+        for (const unsigned i : ids) b.push_back(key(i));
+        return b;
+    };
+    // The run's keys and slots, in order.
+    const auto contents = [](const sorted_run& run) {
+        std::vector<std::pair<address, std::uint32_t>> out;
+        for (std::size_t k = 0; k < run.size(); ++k) out.emplace_back(run.key(k), run.slot(k));
+        return out;
+    };
+    using contents_t = std::vector<std::pair<address, std::uint32_t>>;
+    sorted_run run;
+    std::vector<std::uint32_t> slots = {42};  // appended to, not replaced
+    run.merge(block({3, 7}), &slots);
+    EXPECT_EQ(slots, (std::vector<std::uint32_t>{42, 0, 1}));
+    slots.clear();
+    run.merge(block({1, 3, 5, 7, 9}), &slots);
+    EXPECT_EQ(slots, (std::vector<std::uint32_t>{2, 0, 3, 1, 4}));
+    EXPECT_EQ(run.fresh().to_vector(), block({1, 5, 9}).to_vector());
+    EXPECT_EQ(contents(run),
+              (contents_t{{key(1), 2}, {key(3), 0}, {key(5), 3}, {key(7), 1}, {key(9), 4}}));
+    // A day of known keys only adds nothing; an empty day clears fresh().
+    slots.clear();
+    run.merge(block({5, 9}), &slots);
+    EXPECT_EQ(slots, (std::vector<std::uint32_t>{3, 4}));
+    EXPECT_TRUE(run.fresh().empty());
+    run.merge(block({0}));
+    EXPECT_EQ(run.fresh().size(), 1u);
+    run.merge(block({}));
+    EXPECT_TRUE(run.fresh().empty());
+    EXPECT_EQ(run.size(), 6u);
+    EXPECT_EQ(run.slot(0), 5u);
+    // Slots and keys move together as the run grows past many pages.
+    simd::address_block many(0);
+    for (unsigned i = 100; i < 100000; ++i) many.push_back(key(i));
+    run.merge(many);
+    ASSERT_EQ(run.size(), 6u + 99900u);
+    EXPECT_EQ(run.key(2), key(3));
+    EXPECT_EQ(run.slot(2), 0u);
+    EXPECT_EQ(run.key(run.size() - 1), key(99999));
+    EXPECT_EQ(run.slot(run.size() - 1), 6u + 99899u);
 }
 
 // ------------------------------------------------------------ engine
