@@ -111,12 +111,13 @@ private:
 /// collector rx loop and the file/pcap replay drivers so both ingest
 /// paths are byte-identical from the decoder on.
 ///
-/// `cache` (optional) is a caller-owned per-/64 lookup memo carried
-/// across blocks, probed by the hi lane; ledger updates are aggregated
-/// per block so the ledger mutex is taken once per datagram, and the
-/// engine is fed one push_block (a single push-lock acquisition per
-/// datagram). Together these keep enrichment within a few percent of
-/// the raw ingest path (micro_wire_ingest tracks the ratio).
+/// Each record is looked up straight from its hi/lo lanes in the
+/// snapshot's flat interval table. `cache` (optional) is a caller-owned
+/// per-/64 memo carried across blocks and probed by the hi lane, which
+/// pays on clustered traffic; ledger updates are aggregated per block
+/// so the ledger mutex is taken once per datagram, and the engine is fed
+/// one push_block (a single push-lock acquisition per datagram).
+/// micro_wire_ingest prices the enriched path against the raw one.
 void ingest_block(stream_engine& engine, const simd::record_block& block,
                   enrichment* enrich, asn_ledger* ledger,
                   lookup_cache* cache = nullptr);

@@ -14,8 +14,9 @@
 //     entries make the loader a bounds check and a loop — no parsing on
 //     the reload path beyond validation.
 //
-//   * An immutable `asn_db` snapshot: the entries loaded into the
-//     repo's Patricia `prefix_map` for longest-prefix match.
+//   * An immutable `asn_db` snapshot: the entries flattened into one
+//     sorted table of disjoint address intervals, each carrying its
+//     longest-prefix match, so a lookup is one branchless search.
 //
 //   * The `enrichment` handle: an RCU-style `shared_ptr<const asn_db>`
 //     swapped on reload. Readers copy the snapshot pointer under a
@@ -38,9 +39,9 @@
 #include <string_view>
 #include <vector>
 
+#include "v6class/ip/prefix.h"
 #include "v6class/obs/metrics.h"
 #include "v6class/obs/tsdb.h"
-#include "v6class/trie/prefix_map.h"
 
 namespace v6::net {
 
@@ -96,32 +97,68 @@ std::vector<std::uint8_t> encode_asn_db(std::vector<enrich_entry> entries);
 
 /// Validates and decodes a binary image. Returns nullopt with *error set
 /// on any structural problem (magic, version, size arithmetic, prefix
-/// length out of range).
+/// length out of range, host bits set, entries not strictly ascending as
+/// encode_asn_db writes them), so an accepted image re-encodes
+/// byte-identically.
 std::optional<std::vector<enrich_entry>> decode_asn_db(
     const std::uint8_t* data, std::size_t len, std::string* error);
 
 /// Writes the binary db atomically (tmp + rename). False on I/O failure.
 bool write_asn_db(const std::string& path, const std::vector<enrich_entry>& entries);
 
-/// An immutable loaded database: longest-prefix match over the Patricia
-/// prefix_map. Snapshots are built once and never mutated, which is
-/// what makes the lock-free reload swap safe.
+/// An immutable loaded database, flattened for longest-prefix match.
+///
+/// Every prefix's first address and the address one past its last cut
+/// the address space into disjoint intervals; within one interval the
+/// longest match cannot change. The constructor sorts those boundaries
+/// (plus `::`, so every address falls in some interval), answers the
+/// longest match at each with a transient Patricia `prefix_map`, drops
+/// boundaries that would repeat their predecessor's match, and keeps
+/// the result as hi/lo boundary lanes and a lane of match pointers. A
+/// lookup is then a branchless binary search for the last boundary
+/// <= the address: one path for every db, prefixes longer than /64
+/// included. Snapshots are built once and never mutated, which is what
+/// makes the lock-free reload swap safe.
 class asn_db {
 public:
     explicit asn_db(std::vector<enrich_entry> entries, std::uint64_t generation = 0);
+    // match_ points into infos_, so a copy would point into its source.
+    asn_db(const asn_db&) = delete;
+    asn_db& operator=(const asn_db&) = delete;
 
     /// Loads the binary file. Returns null with *error set on failure.
     static std::shared_ptr<const asn_db> load(const std::string& path,
                                               std::uint64_t generation,
                                               std::string* error);
 
-    /// The most specific entry covering `a`, or null.
+    /// The most specific entry covering `a`, or null. All intervals of
+    /// one entry yield the same pointer, valid as long as the db.
     const enrich_info* lookup(const address& a) const noexcept {
-        const auto hit = map_.longest_match(a);
-        return hit ? &hit->second.get() : nullptr;
+        return lookup(a.hi(), a.lo());
     }
 
-    std::size_t size() const noexcept { return map_.size(); }
+    /// The same for an address given as its hi/lo lanes (bits 0..63 and
+    /// 64..127), as simd blocks hold it.
+    const enrich_info* lookup(std::uint64_t hi, std::uint64_t lo) const noexcept {
+        using u128 = unsigned __int128;
+        const u128 key = static_cast<u128>(hi) << 64 | lo;
+        const std::uint64_t* his = hi_.data();
+        const std::uint64_t* los = lo_.data();
+        std::size_t at = 0;  // boundary 0 is ::, <= every address
+        for (std::size_t n = hi_.size(); n > 1;) {
+            const std::size_t half = n / 2;
+            const u128 bound = static_cast<u128>(his[at + half]) << 64 | los[at + half];
+            at = bound <= key ? at + half : at;  // cmp, sbb, cmov: no branch
+            n -= half;
+        }
+        return match_[at];
+    }
+
+    /// Distinct prefixes in the db (a duplicate prefix keeps its last
+    /// entry, as `encode_asn_db` does).
+    std::size_t size() const noexcept { return infos_.size(); }
+    /// Intervals in the flat table (>= 1: the one starting at ::).
+    std::size_t intervals() const noexcept { return hi_.size(); }
     std::uint64_t generation() const noexcept { return generation_; }
 
     /// Longest prefix length in the db. When this is <=64 the upper 64
@@ -130,7 +167,11 @@ public:
     unsigned max_length() const noexcept { return max_length_; }
 
 private:
-    prefix_map<enrich_info> map_;
+    std::vector<enrich_info> infos_;  // one per distinct prefix
+    // Interval starts in ascending address order, and each interval's
+    // longest match, pointing into infos_ (null: no prefix covers it).
+    std::vector<std::uint64_t> hi_, lo_;
+    std::vector<const enrich_info*> match_;
     std::uint64_t generation_ = 0;
     unsigned max_length_ = 0;
 };
@@ -139,7 +180,7 @@ private:
 /// ingest thread (the collector rx loop, a replay driver) and carried
 /// across batches. Routing/RIR feeds almost never carry prefixes longer
 /// than /64, so for such a db the /64 network determines the match and
-/// the Patricia walk can be skipped for repeat networks — the common
+/// the table search can be skipped for repeat networks — the common
 /// case for real traffic, where consecutive observations cluster in few
 /// networks. ingest_block bypasses the memo entirely when the snapshot
 /// contains anything longer than /64, and resets it whenever the
@@ -179,7 +220,7 @@ struct lookup_cache {
 /// shared_ptr copy under a mutex held only for that copy. reload() may
 /// be called from any one thread at a time (v6stream calls it from the
 /// main loop when the SIGHUP flag is set); the expensive part — read,
-/// validate, build the trie — happens outside the lock. A failed
+/// validate, build the table — happens outside the lock. A failed
 /// reload (missing/corrupt file) keeps the previous snapshot serving
 /// and counts a failure — the collector never degrades because an
 /// operator fat-fingered a db push.

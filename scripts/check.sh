@@ -299,6 +299,29 @@ EOF
         rm -rf "${smoke}"
         echo "shard invariance passed"
 
+        # Enrichment path: the world's routes, compiled by v6mkdb, tag
+        # every replayed record through the snapshot's flat ASN table.
+        # The per-ASN day breakdowns (day_asn lines) and the day reports
+        # must not depend on the shard count, and routed rows must exist.
+        echo "=== enrichment: v6stream --replay --asn-db across shard counts ==="
+        smoke=$(mktemp -d)
+        ./build/tools/v6synth --out="${smoke}/world" --routes \
+            --first=360 --last=360 --scale=0.05 --seed=7
+        ./build/tools/v6synth --wire="${smoke}/feed.v6w" \
+            --first=360 --last=366 --scale=0.05 --seed=7
+        ./build/tools/v6mkdb --in="${smoke}/world/routes.txt" \
+            --out="${smoke}/routes.asndb"
+        for shards in 1 4; do
+            ./build/tools/v6stream --replay="${smoke}/feed.v6w" \
+                --asn-db="${smoke}/routes.asndb" --shards="${shards}" \
+                >"${smoke}/shards${shards}.json"
+        done
+        grep -q '"type":"day_asn".*"asn":[1-9]' "${smoke}/shards1.json"
+        grep -q '"type":"final"' "${smoke}/shards1.json"
+        cmp "${smoke}/shards1.json" "${smoke}/shards4.json"
+        rm -rf "${smoke}"
+        echo "enrichment passed"
+
         # Long histories: a year of days, so addresses that return past
         # their first 64 days run their day bitmaps into the records'
         # overflow words (and past 128 days into several of them). Same

@@ -29,6 +29,7 @@ void ingest_block(stream_engine& engine, const simd::record_block& block,
     std::vector<asn_ledger::note_row> agg;
     if (ledger) {
         const std::uint64_t* his = block.addrs.hi();
+        const std::uint64_t* los = block.addrs.lo();
         for (std::size_t i = 0; i < block.size(); ++i) {
             const enrich_info* info = nullptr;
             if (db) {
@@ -40,11 +41,11 @@ void ingest_block(stream_engine& engine, const simd::record_block& block,
                     if (s.valid && s.hi == hi) {
                         info = s.info;
                     } else {
-                        info = db->lookup(block.addrs.at(i));
+                        info = db->lookup(hi, los[i]);
                         s = {hi, info, true};
                     }
                 } else {
-                    info = db->lookup(block.addrs.at(i));
+                    info = db->lookup(his[i], los[i]);
                 }
             }
             bool merged = false;

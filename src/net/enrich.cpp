@@ -9,6 +9,7 @@
 #include <fstream>
 
 #include "v6class/obs/atomic_file.h"
+#include "v6class/trie/prefix_map.h"
 
 namespace v6::net {
 
@@ -160,6 +161,8 @@ std::optional<std::vector<enrich_entry>> decode_asn_db(
         e.pfx = prefix{address{bytes}, p[16]};
         if (e.pfx.base() != address{bytes})
             return fail("entry " + std::to_string(i) + ": host bits set");
+        if (!entries.empty() && !(entries.back().pfx < e.pfx))
+            return fail("entry " + std::to_string(i) + ": out of order or duplicate");
         e.info.country = {static_cast<char>(p[18]), static_cast<char>(p[19])};
         e.info.asn = get_u32(p + 20);
         entries.push_back(e);
@@ -175,9 +178,39 @@ bool write_asn_db(const std::string& path, const std::vector<enrich_entry>& entr
 
 asn_db::asn_db(std::vector<enrich_entry> entries, std::uint64_t generation)
     : generation_(generation) {
+    // The transient Patricia map answers the longest match at each
+    // boundary; it maps a prefix to its slot in infos_, so a duplicate
+    // prefix overwrites the slot's info (last wins) and adds no slot.
+    using u128 = unsigned __int128;
+    const auto to_u128 = [](const address& a) {
+        return (static_cast<u128>(a.hi()) << 64) | a.lo();
+    };
+    prefix_map<std::uint32_t> map;
+    std::vector<u128> bounds{0};
+    bounds.reserve(1 + 2 * entries.size());
     for (const enrich_entry& e : entries) {
-        map_.insert(e.pfx, e.info);
+        if (const std::uint32_t* slot = map.find(e.pfx)) {
+            infos_[*slot] = e.info;
+            continue;
+        }
+        map.insert(e.pfx, static_cast<std::uint32_t>(infos_.size()));
+        infos_.push_back(e.info);
         max_length_ = std::max(max_length_, e.pfx.length());
+        bounds.push_back(to_u128(e.pfx.first_address()));
+        const u128 last = to_u128(e.pfx.last_address());
+        if (last != ~u128{0}) bounds.push_back(last + 1);
+    }
+    std::sort(bounds.begin(), bounds.end());
+    bounds.erase(std::unique(bounds.begin(), bounds.end()), bounds.end());
+    for (const u128 b : bounds) {
+        const std::uint64_t hi = static_cast<std::uint64_t>(b >> 64);
+        const std::uint64_t lo = static_cast<std::uint64_t>(b);
+        const auto hit = map.longest_match(address::from_pair(hi, lo));
+        const enrich_info* match = hit ? &infos_[hit->second.get()] : nullptr;
+        if (!match_.empty() && match_.back() == match) continue;  // same interval
+        hi_.push_back(hi);
+        lo_.push_back(lo);
+        match_.push_back(match);
     }
 }
 

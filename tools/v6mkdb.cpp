@@ -44,7 +44,7 @@ int main(int argc, char** argv) {
             std::fprintf(stderr, "error: %s: %s\n", dump.c_str(), error.c_str());
             return 1;
         }
-        // Re-decode for the entry list: asn_db keeps only the trie.
+        // Re-decode for the entry list: asn_db keeps only the flat table.
         std::ifstream raw(dump, std::ios::binary);
         std::vector<std::uint8_t> image((std::istreambuf_iterator<char>(raw)),
                                         std::istreambuf_iterator<char>());
