@@ -107,9 +107,10 @@ private:
 };
 
 /// Pushes one decoded block into the engine, tagging every record
-/// through one enrichment snapshot load and the ledger. Shared by the
-/// collector rx loop and the file/pcap replay drivers so both ingest
-/// paths are byte-identical from the decoder on.
+/// through one enrichment snapshot load and the ledger. Every ingest
+/// source shares it — the collector rx loop here, and v6stream's text
+/// feed, day-log corpus, wire capture and pcap replays — so all of them
+/// are byte-identical from the block on.
 ///
 /// Each record is looked up straight from its hi/lo lanes in the
 /// snapshot's flat interval table. `cache` (optional) is a caller-owned

@@ -301,11 +301,9 @@ public:
     explicit asn_ledger(obs::registry* registry = nullptr,
                         std::size_t max_series = 32);
 
-    void note(int day, const enrich_info* info, std::uint64_t hits);
-
     /// Applies a batch of pre-aggregated rows under one mutex
-    /// acquisition — the ingest hot path aggregates per datagram and
-    /// calls this once, instead of note() per record.
+    /// acquisition — ingest_block aggregates each block and calls this
+    /// once, so every ingest source tallies through here.
     void note_many(const note_row* rows, std::size_t n);
 
     /// Sorted (records desc, asn asc) breakdown for `day`; forgets the

@@ -7,8 +7,11 @@
 // bounded MPSC queue per shard; a worker thread per shard drains its
 // queue, feeds the day sketches from the lanes, and appends them to
 // the shard's open-day block. Lanes are the only ingest currency from
-// the wire decoder to the shard seal; push(stream_record) is a thin
-// adapter onto the same per-lane core. When the pusher observes a day
+// a record source to the shard seal: every v6stream source (the UDP
+// collector, text lines, day logs, wire and pcap captures) arrives as a
+// record_block through net::ingest_block into push_block();
+// push(stream_record) is a thin adapter onto the same per-lane core for
+// library callers and the benches. When the pusher observes a day
 // boundary it broadcasts a seal marker behind the last batch of the
 // finished day.
 // A single roll thread applies each seal behind an exclusive state lock
@@ -320,6 +323,7 @@ private:
     /// summed over the shards and the engine-level parts.
     std::size_t distinct_addresses_locked() const;
     std::size_t distinct_prefixes_locked() const;
+    std::vector<std::uint64_t> spectrum_locked(unsigned max_n) const;
     std::array<std::uint64_t, 129> cpl_hist_locked() const;
     std::vector<density_count> density_counts_locked() const;
     /// The shards' runs merged into one sorted block.

@@ -31,11 +31,15 @@ struct stream_record {
 /// not a comment). Returns false on any syntax error.
 bool parse_stream_record(std::string_view text, stream_record& out) noexcept;
 
-/// Reads feed lines from a stream, invoking `sink` per parsed record.
-/// Blank lines and '#' comments are tolerated; malformed lines are
-/// counted with their line numbers, exactly like read_address_lines.
+/// Reads feed lines from a stream, handing each parsed record to `sink`
+/// with its 1-based line number; a false return stops the read. Blank
+/// lines and '#' comments are tolerated; malformed lines are counted
+/// with their line numbers, exactly like read_address_lines, and passed
+/// to `on_malformed` (when set) as they are read.
 read_report read_stream_records(
-    std::istream& in, const std::function<void(const stream_record&)>& sink);
+    std::istream& in,
+    const std::function<bool(const stream_record&, std::uint64_t line)>& sink,
+    const std::function<void(const read_error&)>& on_malformed = {});
 
 /// Writes one "day address hits" line.
 void write_stream_record(std::ostream& out, const stream_record& r);

@@ -300,25 +300,38 @@ EOF
         echo "shard invariance passed"
 
         # Enrichment path: the world's routes, compiled by v6mkdb, tag
-        # every replayed record through the snapshot's flat ASN table.
-        # The per-ASN day breakdowns (day_asn lines) and the day reports
-        # must not depend on the shard count, and routed rows must exist.
-        echo "=== enrichment: v6stream --replay --asn-db across shard counts ==="
+        # every record through the snapshot's flat ASN table. Every
+        # non-listen source enters v6stream through one ingest step, so
+        # the same days as a text feed, a day_<n>.log corpus and a wire
+        # capture must print the same stdout (day reports, day_asn
+        # lines, final) at any shard count, and routed rows must exist.
+        echo "=== enrichment: v6stream sources x shard counts with --asn-db ==="
         smoke=$(mktemp -d)
         ./build/tools/v6synth --out="${smoke}/world" --routes \
-            --first=360 --last=360 --scale=0.05 --seed=7
+            --first=360 --last=366 --scale=0.05 --seed=7
+        ./build/tools/v6synth --stream \
+            --first=360 --last=366 --scale=0.05 --seed=7 >"${smoke}/feed.txt"
         ./build/tools/v6synth --wire="${smoke}/feed.v6w" \
             --first=360 --last=366 --scale=0.05 --seed=7
         ./build/tools/v6mkdb --in="${smoke}/world/routes.txt" \
             --out="${smoke}/routes.asndb"
         for shards in 1 4; do
-            ./build/tools/v6stream --replay="${smoke}/feed.v6w" \
-                --asn-db="${smoke}/routes.asndb" --shards="${shards}" \
-                >"${smoke}/shards${shards}.json"
+            for src in wire text dir; do
+                case "${src}" in
+                    wire) input="--replay=${smoke}/feed.v6w" ;;
+                    text) input="${smoke}/feed.txt" ;;
+                    dir) input="--replay=${smoke}/world" ;;
+                esac
+                ./build/tools/v6stream "${input}" --status-every=0 \
+                    --asn-db="${smoke}/routes.asndb" --shards="${shards}" \
+                    >"${smoke}/${src}${shards}.json"
+            done
         done
-        grep -q '"type":"day_asn".*"asn":[1-9]' "${smoke}/shards1.json"
-        grep -q '"type":"final"' "${smoke}/shards1.json"
-        cmp "${smoke}/shards1.json" "${smoke}/shards4.json"
+        grep -q '"type":"day_asn".*"asn":[1-9]' "${smoke}/wire1.json"
+        grep -q '"type":"final"' "${smoke}/wire1.json"
+        for out in text1 dir1 wire4 text4 dir4; do
+            cmp "${smoke}/wire1.json" "${smoke}/${out}.json"
+        done
         rm -rf "${smoke}"
         echo "enrichment passed"
 

@@ -307,11 +307,6 @@ obs::counter asn_ledger::series_for(std::uint32_t asn) {
     return other_series_;
 }
 
-void asn_ledger::note(int day, const enrich_info* info, std::uint64_t hits) {
-    const note_row row{day, info, 1, hits};
-    note_many(&row, 1);
-}
-
 void asn_ledger::note_many(const note_row* rows, std::size_t n) {
     std::uint64_t matched = 0, unmatched = 0;
     for (std::size_t i = 0; i < n; ++i)

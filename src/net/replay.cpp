@@ -1,4 +1,5 @@
-// replay.cpp — wire-file / pcap replay and the UDP send driver.
+// replay.cpp — replay pacing, wire-file / pcap decode, and the UDP send
+// driver.
 #include "v6class/net/replay.h"
 
 #include <arpa/inet.h>
@@ -10,28 +11,20 @@
 #include <thread>
 #include <unistd.h>
 
-#include "v6class/net/collector.h"
-
 namespace v6::net {
 
 namespace {
-
 using clock = std::chrono::steady_clock;
+}  // namespace
 
-bool should_stop(const replay_options& opt) noexcept {
-    return opt.stop != nullptr && *opt.stop != 0;
-}
-
-/// Sleeps until `done` records fit the rate schedule, in <=50 ms slices
-/// so the stop flag stays responsive. Returns false when stopped.
-bool pace(const replay_options& opt, const clock::time_point& start,
-          std::uint64_t done) {
-    if (opt.rate <= 0) return !should_stop(opt);
-    const auto target = start + std::chrono::duration_cast<clock::duration>(
-                                    std::chrono::duration<double>(
-                                        static_cast<double>(done) / opt.rate));
+bool pacer::wait(std::uint64_t done) const {
+    const auto stopped = [this] { return stop_ != nullptr && *stop_ != 0; };
+    if (rate_ <= 0) return !stopped();
+    const auto target = start_ + std::chrono::duration_cast<clock::duration>(
+                                     std::chrono::duration<double>(
+                                         static_cast<double>(done) / rate_));
     for (;;) {
-        if (should_stop(opt)) return false;
+        if (stopped()) return false;
         const auto now = clock::now();
         if (now >= target) return true;
         const auto remaining = target - now;
@@ -42,66 +35,38 @@ bool pace(const replay_options& opt, const clock::time_point& start,
     }
 }
 
-}  // namespace
-
-replay_result replay_wire_file(const std::string& path, stream_engine& engine,
-                               enrichment* enrich, asn_ledger* ledger,
-                               const replay_options& opt) {
+replay_result replay_wire_file(const std::string& path, const block_sink& sink,
+                               std::uint16_t pcap_port) {
     replay_result result;
-    wire_file_reader reader(path);
-    if (!reader.valid()) {
-        result.error = reader.error();
-        return result;
-    }
-    const auto start = clock::now();
     wire_decoder decoder;
-    lookup_cache cache;
-    std::vector<std::uint8_t> datagram;
-    simd::record_block batch;
-    while (reader.next(datagram)) {
+    simd::record_block block;
+    const auto feed = [&](const std::uint8_t* data, std::size_t len) {
+        if (result.stopped) return;
         ++result.datagrams;
-        result.bytes += datagram.size();
-        batch.clear();
-        decoder.decode(datagram.data(), datagram.size(), batch);
-        ingest_block(engine, batch, enrich, ledger, &cache);
-        result.records += batch.size();
-        if (!pace(opt, start, result.records)) {
+        result.bytes += len;
+        block.clear();
+        decoder.decode(data, len, block);
+        if (!sink(block)) {
             result.stopped = true;
-            break;
+            return;
         }
+        result.records += block.size();
+    };
+    if (path.ends_with(".pcap")) {
+        const auto stats = pcap_extract_udp(path, pcap_port, feed, &result.error);
+        if (!stats) return result;
+        result.pcap = *stats;
+    } else {
+        wire_file_reader reader(path);
+        if (!reader.valid()) {
+            result.error = reader.error();
+            return result;
+        }
+        std::vector<std::uint8_t> datagram;
+        while (!result.stopped && reader.next(datagram))
+            feed(datagram.data(), datagram.size());
+        if (!result.stopped) result.error = reader.error();
     }
-    if (!reader.error().empty() && !result.stopped) result.error = reader.error();
-    result.decode = decoder.stats();
-    return result;
-}
-
-replay_result replay_pcap_file(const std::string& path, stream_engine& engine,
-                               enrichment* enrich, asn_ledger* ledger,
-                               const replay_options& opt) {
-    replay_result result;
-    const auto start = clock::now();
-    wire_decoder decoder;
-    lookup_cache cache;
-    simd::record_block batch;
-    std::string error;
-    const auto stats = pcap_extract_udp(
-        path, opt.pcap_port,
-        [&](const std::uint8_t* payload, std::size_t len) {
-            if (result.stopped) return;
-            ++result.datagrams;
-            result.bytes += len;
-            batch.clear();
-            decoder.decode(payload, len, batch);
-            ingest_block(engine, batch, enrich, ledger, &cache);
-            result.records += batch.size();
-            if (!pace(opt, start, result.records)) result.stopped = true;
-        },
-        &error);
-    if (!stats) {
-        result.error = error;
-        return result;
-    }
-    result.pcap = *stats;
     result.decode = decoder.stats();
     return result;
 }
@@ -141,7 +106,7 @@ replay_result send_wire_file(const std::string& path, const std::string& host,
     }
     ::freeaddrinfo(res);
 
-    const auto start = clock::now();
+    const pacer pace(opt.rate, opt.stop);
     std::vector<std::uint8_t> datagram;
     while (reader.next(datagram)) {
         if (::send(fd, datagram.data(), datagram.size(), 0) < 0) {
@@ -163,7 +128,7 @@ replay_result send_wire_file(const std::string& path, const std::string& host,
         if (datagram.size() >= kWireHeaderSize)
             result.records += static_cast<std::uint16_t>(datagram[6] |
                                                          (datagram[7] << 8));
-        if (!pace(opt, start, result.records)) {
+        if (!pace.wait(result.records)) {
             result.stopped = true;
             break;
         }

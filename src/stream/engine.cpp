@@ -756,6 +756,15 @@ std::size_t stream_engine::distinct_prefixes_locked() const {
     return n;
 }
 
+std::vector<std::uint64_t> stream_engine::spectrum_locked(unsigned max_n) const {
+    std::vector<std::uint64_t> merged(max_n + 1, 0);
+    for (const auto& s : shards_) {
+        const auto spectrum = s->spectrum(max_n);
+        for (std::size_t n = 0; n < spectrum.size(); ++n) merged[n] += spectrum[n];
+    }
+    return merged;
+}
+
 std::array<std::uint64_t, 129> stream_engine::cpl_hist_locked() const {
     // Neighbours of the global sorted order in different /64s split
     // where their /64s do: buckets below 64 are the /64 run's. Neighbours
@@ -866,15 +875,9 @@ stream_snapshot stream_engine::snapshot() const {
     }
     std::shared_lock state(state_mutex_);
     out.epoch = sealed_day_;
-    std::vector<std::uint64_t> merged_spectrum(cfg_.spectrum_max + 1, 0);
     out.distinct_addresses = distinct_addresses_locked();
-    for (const auto& s : shards_) {
-        const auto spectrum = s->spectrum(cfg_.spectrum_max);
-        for (std::size_t n = 0; n < spectrum.size(); ++n)
-            merged_spectrum[n] += spectrum[n];
-    }
     out.distinct_projected = distinct_prefixes_locked();
-    out.spectrum = std::move(merged_spectrum);
+    out.spectrum = spectrum_locked(cfg_.spectrum_max);
     out.density =
         compute_density_table(cfg_.density_classes, density_counts_locked());
     return out;
@@ -910,12 +913,7 @@ stability_split stream_engine::classify_day(int ref_day, unsigned n) const {
 
 std::vector<std::uint64_t> stream_engine::stability_spectrum(unsigned max_n) const {
     std::shared_lock state(state_mutex_);
-    std::vector<std::uint64_t> merged(max_n + 1, 0);
-    for (const auto& s : shards_) {
-        const auto spectrum = s->spectrum(max_n);
-        for (std::size_t n = 0; n < spectrum.size(); ++n) merged[n] += spectrum[n];
-    }
-    return merged;
+    return spectrum_locked(max_n);
 }
 
 std::vector<density_row> stream_engine::density_table(

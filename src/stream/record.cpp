@@ -55,7 +55,9 @@ bool parse_stream_record(std::string_view text, stream_record& out) noexcept {
 }
 
 read_report read_stream_records(
-    std::istream& in, const std::function<void(const stream_record&)>& sink) {
+    std::istream& in,
+    const std::function<bool(const stream_record&, std::uint64_t line)>& sink,
+    const std::function<void(const read_error&)>& on_malformed) {
     read_report report;
     std::string line;
     stream_record record;
@@ -72,12 +74,13 @@ read_report read_stream_records(
         }
         if (!parse_stream_record(text, record)) {
             ++report.malformed;
-            if (report.first_errors.size() < 8)
-                report.first_errors.push_back({report.lines, line});
+            const read_error error{report.lines, line};
+            if (on_malformed) on_malformed(error);
+            if (report.first_errors.size() < 8) report.first_errors.push_back(error);
             continue;
         }
         ++report.parsed;
-        sink(record);
+        if (!sink(record, report.lines)) break;
     }
     return report;
 }

@@ -489,11 +489,13 @@ TEST(AsnLedger, TakeDaySortsAndForgets) {
     net::asn_ledger ledger;
     const net::enrich_info a{64500, {'d', 'e'}};
     const net::enrich_info b{64501, {'u', 's'}};
-    ledger.note(360, &a, 10);
-    ledger.note(360, &b, 1);
-    ledger.note(360, &b, 2);
-    ledger.note(360, nullptr, 5);  // unrouted bucket
-    ledger.note(361, &a, 7);
+    // Two batches, so rows accumulate across calls as well as within one.
+    const net::asn_ledger::note_row first[] = {
+        {360, &a, 1, 10}, {360, &b, 1, 1}};
+    const net::asn_ledger::note_row second[] = {
+        {360, &b, 1, 2}, {360, nullptr, 1, 5} /* unrouted bucket */, {361, &a, 1, 7}};
+    ledger.note_many(first, std::size(first));
+    ledger.note_many(second, std::size(second));
 
     const auto rows = ledger.take_day(360);
     ASSERT_EQ(rows.size(), 3u);

@@ -9,6 +9,7 @@
 #include <cstring>
 #include <fstream>
 
+#include "v6class/net/replay.h"
 #include "v6class/net/wire.h"
 #include "v6class/netgen/rng.h"
 #include "v6class/simd/address_block.h"
@@ -268,9 +269,10 @@ void append_packet(std::vector<std::uint8_t>& pcap, std::uint16_t dst_port,
     pcap.insert(pcap.end(), payload.begin(), payload.end());
 }
 
-TEST(Pcap, ExtractsWireDatagramsWithPortFilter) {
-    const auto records = make_records(20);
-    const auto datagrams = encode_datagrams(records, 10);
+/// A classic (microsecond, little-endian) Ethernet pcap holding one
+/// packet per (dst port, payload), written to `path`.
+void write_pcap(const std::string& path,
+                const std::vector<std::pair<std::uint16_t, std::vector<std::uint8_t>>>& packets) {
     std::vector<std::uint8_t> pcap;
     put_u32le(pcap, 0xa1b2c3d4);  // classic magic, microseconds
     put_u16le(pcap, 2);
@@ -279,15 +281,18 @@ TEST(Pcap, ExtractsWireDatagramsWithPortFilter) {
     put_u32le(pcap, 0);
     put_u32le(pcap, 65535);
     put_u32le(pcap, 1);  // LINKTYPE_ETHERNET
-    append_packet(pcap, 4739, datagrams[0]);
-    append_packet(pcap, 1234, datagrams[1]);  // filtered out below
+    for (const auto& [port, payload] : packets) append_packet(pcap, port, payload);
+    std::ofstream f(path, std::ios::binary);
+    f.write(reinterpret_cast<const char*>(pcap.data()),
+            static_cast<std::streamsize>(pcap.size()));
+}
 
+TEST(Pcap, ExtractsWireDatagramsWithPortFilter) {
+    const auto records = make_records(20);
+    const auto datagrams = encode_datagrams(records, 10);
     const std::string path = testing::TempDir() + "wire_test.pcap";
-    {
-        std::ofstream f(path, std::ios::binary);
-        f.write(reinterpret_cast<const char*>(pcap.data()),
-                static_cast<std::streamsize>(pcap.size()));
-    }
+    write_pcap(path, {{4739, datagrams[0]},
+                      {1234, datagrams[1]}});  // filtered out below
 
     net::wire_decoder dec;
     simd::record_block out;
@@ -314,6 +319,54 @@ TEST(Pcap, ExtractsWireDatagramsWithPortFilter) {
         &error);
     ASSERT_TRUE(stats_all.has_value());
     EXPECT_EQ(to_records(all), records);
+}
+
+// replay_wire_file reads a v6wire file and a pcap of the same datagrams
+// into the same blocks, one per datagram, and a sink that declines a
+// block stops the replay there without counting it.
+TEST(Replay, WireFileAndPcapDeliverTheSameBlocks) {
+    const auto records = make_records(25);
+    const std::string wire_path = testing::TempDir() + "replay_test.v6w";
+    const std::string pcap_path = testing::TempDir() + "replay_test.pcap";
+    ASSERT_EQ(net::write_wire_file(wire_path, records, 10), 3u);
+    std::vector<std::pair<std::uint16_t, std::vector<std::uint8_t>>> packets;
+    for (const auto& d : encode_datagrams(records, 10)) packets.push_back({4739, d});
+    packets.push_back({1234, packets.front().second});  // not v6wire's port
+    write_pcap(pcap_path, packets);
+
+    for (const std::string& path : {wire_path, pcap_path}) {
+        std::vector<std::size_t> sizes;
+        std::vector<stream_record> seen;
+        const net::replay_result all = net::replay_wire_file(
+            path,
+            [&](const simd::record_block& block) {
+                sizes.push_back(block.size());
+                for (const stream_record& r : to_records(block)) seen.push_back(r);
+                return true;
+            },
+            4739);
+        ASSERT_TRUE(all.ok()) << path << ": " << all.error;
+        EXPECT_FALSE(all.stopped);
+        EXPECT_EQ(all.datagrams, 3u) << path;
+        EXPECT_EQ(all.records, 25u) << path;
+        EXPECT_EQ(sizes, (std::vector<std::size_t>{10, 10, 5})) << path;
+        EXPECT_EQ(seen, records) << path;
+
+        std::size_t offered = 0;
+        const net::replay_result cut = net::replay_wire_file(
+            path, [&](const simd::record_block&) { return ++offered < 2; }, 4739);
+        ASSERT_TRUE(cut.ok()) << path;
+        EXPECT_TRUE(cut.stopped);
+        EXPECT_EQ(offered, 2u) << "no block is offered after a decline";
+        EXPECT_EQ(cut.records, 10u) << "a declined block is not counted";
+    }
+    EXPECT_EQ(net::replay_wire_file(pcap_path, [](const auto&) { return true; })
+                  .pcap.udp_payloads,
+              4u)
+        << "port 0 delivers every UDP payload";
+    EXPECT_FALSE(net::replay_wire_file(testing::TempDir() + "missing.v6w",
+                                       [](const auto&) { return true; })
+                     .ok());
 }
 
 TEST(Pcap, RejectsNonPcapFile) {

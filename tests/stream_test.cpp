@@ -140,13 +140,35 @@ TEST(StreamRecordTest, ReaderToleratesCommentsAndCountsErrors) {
         "broken line\n"
         "2 2001:db8::2\n");
     std::vector<stream_record> seen;
-    const read_report report =
-        read_stream_records(in, [&](const stream_record& r) { seen.push_back(r); });
+    std::vector<std::uint64_t> lines, bad_lines;
+    const read_report report = read_stream_records(
+        in,
+        [&](const stream_record& r, std::uint64_t line) {
+            seen.push_back(r);
+            lines.push_back(line);
+            return true;
+        },
+        [&](const read_error& e) { bad_lines.push_back(e.line_number); });
     EXPECT_EQ(seen.size(), 2u);
+    EXPECT_EQ(lines, (std::vector<std::uint64_t>{3, 5}));
+    EXPECT_EQ(bad_lines, (std::vector<std::uint64_t>{4}));
     EXPECT_EQ(report.parsed, 2u);
     EXPECT_EQ(report.malformed, 1u);
     ASSERT_EQ(report.first_errors.size(), 1u);
     EXPECT_EQ(report.first_errors[0].line_number, 4u);
+}
+
+TEST(StreamRecordTest, ReaderStopsWhenSinkDeclines) {
+    std::istringstream in(
+        "1 2001:db8::1\n"
+        "1 2001:db8::2\n"
+        "1 2001:db8::3\n");
+    std::size_t offered = 0;
+    const read_report report = read_stream_records(
+        in, [&](const stream_record&, std::uint64_t) { return ++offered < 2; });
+    EXPECT_EQ(offered, 2u);
+    EXPECT_EQ(report.lines, 2u) << "no line is read after a decline";
+    EXPECT_EQ(report.parsed, 2u);
 }
 
 // --------------------------------------------------------------- sorted_run

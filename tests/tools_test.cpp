@@ -249,24 +249,39 @@ TEST_F(ToolsTest, WireDumpRoundTripsTheStreamFeed) {
 }
 
 TEST_F(ToolsTest, StreamReplaysWireCaptureIdenticalToCorpusDir) {
+    // One world three ways: the day_<n>.log corpus SetUpTestSuite wrote
+    // into corpus_, the same days as a text feed, and as a binary wire
+    // capture. Every source enters the engine through the same ingest
+    // step, so the whole stdout — day roll-ups, per-ASN day breakdowns
+    // and the final report — must be byte-identical.
+    const std::string world = " --scale=0.03 --first=362 --last=368 2>/dev/null";
     const fs::path capture = corpus_ / "replay.v6w";
-    const run_result synth = run(
-        tool("v6synth") + " --wire=" + capture.string() +
-        " --scale=0.03 --first=362 --last=368 2>/dev/null");
-    ASSERT_EQ(synth.exit_code, 0);
+    const fs::path feed = corpus_ / "replay.txt";
+    const fs::path db = corpus_ / "replay.asndb";
+    ASSERT_EQ(run(tool("v6synth") + " --wire=" + capture.string() + world).exit_code, 0);
+    const run_result text = run(tool("v6synth") + " --stream" + world);
+    ASSERT_EQ(text.exit_code, 0);
+    std::ofstream(feed) << text.output;
+    ASSERT_EQ(run(tool("v6mkdb") + " --in=" + (corpus_ / "routes.txt").string() +
+                  " --out=" + db.string() + " 2>/dev/null")
+                  .exit_code,
+              0);
 
-    // The same world synthesized into corpus_ by SetUpTestSuite: the two
-    // replay paths (text day logs vs binary wire capture) must produce
-    // identical sealed-day roll-ups.
+    const std::string stream = tool("v6stream") +
+                               " --status-every=0 --shards=2 --asn-db=" +
+                               db.string() + " ";
     const run_result from_dir =
-        run(tool("v6stream") + " --replay=" + corpus_.string() +
-            " --shards=2 2>/dev/null | grep '\"type\":\"day\"'");
+        run(stream + "--replay=" + corpus_.string() + " 2>/dev/null");
+    const run_result from_text = run(stream + feed.string() + " 2>/dev/null");
     const run_result from_wire =
-        run(tool("v6stream") + " --replay=" + capture.string() +
-            " --shards=2 2>/dev/null | grep '\"type\":\"day\"'");
+        run(stream + "--replay=" + capture.string() + " 2>/dev/null");
     ASSERT_EQ(from_dir.exit_code, 0);
+    ASSERT_EQ(from_text.exit_code, 0);
     ASSERT_EQ(from_wire.exit_code, 0);
-    ASSERT_FALSE(from_dir.output.empty());
+    ASSERT_NE(from_dir.output.find("{\"type\":\"day_asn\",\"day\":362,"),
+              std::string::npos);
+    ASSERT_NE(from_dir.output.find("\"type\":\"final\""), std::string::npos);
+    EXPECT_EQ(from_text.output, from_dir.output);
     EXPECT_EQ(from_wire.output, from_dir.output);
 }
 
@@ -353,6 +368,32 @@ TEST_F(ToolsTest, StreamReplaySigintSealsAndReports) {
     ASSERT_EQ(r.exit_code, 0);
     EXPECT_NE(r.output.find("\"type\":\"final\""), std::string::npos);
     EXPECT_NE(r.output.find("\"spectrum\":["), std::string::npos);
+}
+
+TEST_F(ToolsTest, StreamWireReplayReloadsDbOnSighup) {
+    // SIGHUP mid-replay of a wire capture hot-reloads the ASN db between
+    // blocks, like every other source; SIGINT then ends the run through
+    // the ordered shutdown with exit code 0. --rate keeps the replay
+    // running long enough for both signals to land mid-feed.
+    const fs::path capture = corpus_ / "sighup.v6w";
+    const fs::path db = corpus_ / "sighup.asndb";
+    ASSERT_EQ(run(tool("v6synth") + " --wire=" + capture.string() +
+                  " --scale=0.03 --first=362 --last=368 2>/dev/null")
+                  .exit_code,
+              0);
+    ASSERT_EQ(run(tool("v6mkdb") + " --in=" + (corpus_ / "routes.txt").string() +
+                  " --out=" + db.string() + " 2>/dev/null")
+                  .exit_code,
+              0);
+    // stderr is captured; stdout is dropped.
+    const run_result r = run(
+        "{ " + tool("v6stream") + " --replay=" + capture.string() +
+        " --asn-db=" + db.string() + " --rate=5000 --shards=2 2>&1 >/dev/null"
+        " & pid=$!; sleep 1; kill -HUP $pid; sleep 0.5; kill -INT $pid;"
+        " wait $pid; }");
+    ASSERT_EQ(r.exit_code, 0) << r.output;
+    EXPECT_NE(r.output.find("reloaded " + db.string()), std::string::npos)
+        << r.output;
 }
 
 TEST_F(ToolsTest, ToolsPrintUsageOnHelp) {

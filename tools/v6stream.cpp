@@ -12,9 +12,14 @@
 //                                       or a .pcap file
 //
 // The text feed is "day address [hits]" lines (blank lines and '#'
-// comments tolerated) from a file, a FIFO, or stdin; --listen and
-// --replay push the binary wire format through the identical engine
-// path. Emits JSON lines on stdout: a "day" object per sealed day (the
+// comments tolerated) from a file, a FIFO, or stdin. Every source but
+// --listen cuts its records into blocks of one wire datagram's shape
+// (text lines, day logs) or takes them a datagram at a time (.v6w,
+// .pcap), and one ingest step hands each block to net::ingest_block —
+// the call the --listen collector makes per receive burst — after
+// servicing a pending SIGHUP and pacing by --rate records/second. So
+// every source prints the same bytes for the same records. Emits JSON
+// lines on stdout: a "day" object per sealed day (the
 // asynchronous roll-up: windowed nd-stable split and n@/p density
 // classes), a "day_asn" object per sealed day when --asn-db is active,
 // a periodic "status" object, and a "final" object with the lifetime
@@ -342,19 +347,6 @@ void push_telemetry(obs::federate::telemetry_pusher* pusher,
     }
 }
 
-std::string_view trim(std::string_view s) noexcept {
-    while (!s.empty() && (s.front() == ' ' || s.front() == '\t' || s.front() == '\r'))
-        s.remove_prefix(1);
-    while (!s.empty() && (s.back() == ' ' || s.back() == '\t' || s.back() == '\r'))
-        s.remove_suffix(1);
-    return s;
-}
-
-bool ends_with(std::string_view s, std::string_view suffix) noexcept {
-    return s.size() >= suffix.size() &&
-           s.substr(s.size() - suffix.size()) == suffix;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -431,7 +423,9 @@ int main(int argc, char** argv) {
              "printed to stderr) instead of a text feed")
         .add("replay", &replay_path,
              "replay a day_<n>.log corpus dir, .v6w wire capture, or .pcap")
-        .add("rate", &rate, "replay pacing in records/second (0 = line rate)")
+        .add("rate", &rate,
+             "pacing in records/second for any source but --listen\n"
+             "(0 = line rate)")
         .add("pcap-port", &pcap_port,
              "UDP dst-port filter for --replay of a .pcap (0 = any)");
     if (flags.has("help")) {
@@ -634,6 +628,19 @@ int main(int argc, char** argv) {
     std::size_t printed_reports = 0;
     auto rate_mark = std::chrono::steady_clock::now();
     std::uint64_t rate_records = 0;
+    // One status object; its rate is accepted records per second since
+    // the previous one.
+    const auto status = [&] {
+        const stream_stats s = engine.stats();
+        const auto now = std::chrono::steady_clock::now();
+        const double dt = std::chrono::duration<double>(now - rate_mark).count();
+        const double r =
+            dt > 0.0 ? static_cast<double>(s.records - rate_records) / dt : 0.0;
+        rate_mark = now;
+        rate_records = s.records;
+        ingest_rate.set(static_cast<std::int64_t>(r));
+        print_status(s, r);
+    };
 
     if (listen_given) {
         // Live collector mode: the rx thread owns the socket; this loop
@@ -684,17 +691,7 @@ int main(int argc, char** argv) {
             }
             if (status_every > 0 &&
                 now - last_status >= std::chrono::seconds(2)) {
-                const stream_stats s = engine.stats();
-                const double dt =
-                    std::chrono::duration<double>(now - rate_mark).count();
-                const double r =
-                    dt > 0.0
-                        ? static_cast<double>(s.records - rate_records) / dt
-                        : 0.0;
-                rate_mark = now;
-                rate_records = s.records;
-                ingest_rate.set(static_cast<std::int64_t>(r));
-                print_status(s, r);
+                status();
                 last_status = now;
             }
         }
@@ -707,139 +704,111 @@ int main(int argc, char** argv) {
                      static_cast<unsigned long long>(cs.datagrams),
                      static_cast<unsigned long long>(cs.records),
                      static_cast<unsigned long long>(cs.decode.rejected()));
-    } else if (!replay_path.empty() &&
-               !std::filesystem::is_directory(replay_path)) {
-        // Wire-capture / pcap replay through the shared ingest path.
-        net::replay_options opt;
-        opt.rate = rate;
-        opt.pcap_port = static_cast<std::uint16_t>(pcap_port);
-        opt.stop = &g_stop;
-        const net::replay_result result =
-            ends_with(replay_path, ".pcap")
-                ? net::replay_pcap_file(replay_path, engine, enrich_ptr,
-                                        ledger_ptr, opt)
-                : net::replay_wire_file(replay_path, engine, enrich_ptr,
-                                        ledger_ptr, opt);
-        if (!result.ok()) {
-            std::fprintf(stderr, "error: %s\n", result.error.c_str());
-            return 1;
-        }
-        std::fprintf(stderr,
-                     "replayed %llu datagrams, %llu records%s (%llu rejected)\n",
-                     static_cast<unsigned long long>(result.datagrams),
-                     static_cast<unsigned long long>(result.records),
-                     result.stopped ? " [interrupted]" : "",
-                     static_cast<unsigned long long>(result.decode.rejected()));
-        printed_reports = drain_reports(engine, printed_reports, ledger_ptr, tsdb);
-    } else if (!replay_path.empty()) {
-        // Replay a day_<n>.log corpus directory in day order. The stop
-        // flag is honoured between *records*, not just between days, so
-        // SIGINT interrupts a multi-million-record day promptly and
-        // still flows into the ordered seal-then-report shutdown below.
-        namespace fs = std::filesystem;
-        std::vector<int> days;
-        try {
-            for (const auto& entry : fs::directory_iterator(replay_path)) {
-                int day = 0;
-                if (entry.is_regular_file() &&
-                    std::sscanf(entry.path().filename().string().c_str(),
-                                "day_%d.log", &day) == 1)
-                    days.push_back(day);
-            }
-        } catch (const std::exception& e) {
-            std::fprintf(stderr, "error: %s\n", e.what());
-            return 1;
-        }
-        std::sort(days.begin(), days.end());
-        const auto replay_start = std::chrono::steady_clock::now();
-        std::uint64_t pushed = 0;
-        std::shared_ptr<const net::asn_db> snap;
-        for (const int day : days) {
-            if (g_stop) break;
-            maybe_reload(host, enrich_ptr);
-            const daily_log log = read_log_file(
-                fs::path(replay_path) / corpus_file_name(day), day);
-            for (const observation& o : log.records) {
-                if (g_stop) break;
-                if (rate > 0) {
-                    // Same pacing contract as the wire replay driver:
-                    // target time from records pushed, short sleeps so
-                    // SIGINT lands within ~50 ms.
-                    for (;;) {
-                        const double target = static_cast<double>(pushed) / rate;
-                        const double elapsed =
-                            std::chrono::duration<double>(
-                                std::chrono::steady_clock::now() - replay_start)
-                                .count();
-                        if (elapsed >= target || g_stop) break;
-                        std::this_thread::sleep_for(std::chrono::duration<double>(
-                            std::min(target - elapsed, 0.05)));
-                    }
-                    if (g_stop) break;
-                }
-                if (ledger_ptr)
-                    ledger_ptr->note(
-                        day,
-                        enrich_ptr ? enrich_ptr->lookup(o.addr, snap) : nullptr,
-                        o.hits);
-                engine.push(day, o.addr, o.hits);
-                ++pushed;
-            }
-            printed_reports = drain_reports(engine, printed_reports, ledger_ptr, tsdb);
-        }
     } else {
-        std::ifstream file;
-        const bool use_stdin =
-            flags.positional().empty() || flags.positional()[0] == "-";
-        if (!use_stdin) {
-            file.open(flags.positional()[0]);
-            if (!file) {
-                std::fprintf(stderr, "error: cannot open %s\n",
-                             flags.positional()[0].c_str());
+        // Every other source cuts its records into blocks of one wire
+        // datagram's shape and hands each to this one ingest step: a
+        // pending SIGHUP is serviced between blocks, --rate paces by
+        // records, and the stop flag ends the feed, which still flows
+        // into the ordered seal-then-report shutdown below.
+        net::lookup_cache cache;
+        const net::pacer pace(rate, &g_stop);
+        std::uint64_t ingested = 0;
+        const auto ingest = [&](const simd::record_block& block) {
+            maybe_reload(host, enrich_ptr);
+            if (!pace.wait(ingested)) return false;
+            net::ingest_block(engine, block, enrich_ptr, ledger_ptr, &cache);
+            ingested += block.size();
+            return true;
+        };
+        simd::record_block block(net::kWireDefaultBatch);
+        const auto flush = [&] {  // false once the feed must stop
+            const bool more = block.empty() || ingest(block);
+            block.clear();
+            return more;
+        };
+
+        if (replay_path.empty()) {
+            // The text feed. A status object counts every record up to
+            // its line, so the block is cut at that line.
+            std::ifstream file;
+            const bool use_stdin =
+                flags.positional().empty() || flags.positional()[0] == "-";
+            if (!use_stdin) {
+                file.open(flags.positional()[0]);
+                if (!file) {
+                    std::fprintf(stderr, "error: cannot open %s\n",
+                                 flags.positional()[0].c_str());
+                    return 1;
+                }
+            }
+            read_stream_records(
+                use_stdin ? std::cin : file,
+                [&](const stream_record& r, std::uint64_t line) {
+                    block.push_back(r.addr.hi(), r.addr.lo(), r.day, r.hits);
+                    if (status_every > 0 &&
+                        line % static_cast<std::uint64_t>(status_every) == 0) {
+                        if (!flush()) return false;
+                        status();
+                        printed_reports =
+                            drain_reports(engine, printed_reports, ledger_ptr, tsdb);
+                        return true;
+                    }
+                    return block.size() < net::kWireDefaultBatch || flush();
+                },
+                [&](const read_error& e) {
+                    malformed_total.inc();
+                    if (++malformed <= 8)
+                        std::fprintf(stderr, "warning: line %llu: malformed: %s\n",
+                                     static_cast<unsigned long long>(e.line_number),
+                                     e.text.c_str());
+                });
+            flush();
+        } else if (std::filesystem::is_directory(replay_path)) {
+            // A day_<n>.log corpus directory, in day order; each day's
+            // reports drain once its last block is in.
+            namespace fs = std::filesystem;
+            std::vector<int> days;
+            try {
+                for (const auto& entry : fs::directory_iterator(replay_path)) {
+                    int day = 0;
+                    if (entry.is_regular_file() &&
+                        std::sscanf(entry.path().filename().string().c_str(),
+                                    "day_%d.log", &day) == 1)
+                        days.push_back(day);
+                }
+            } catch (const std::exception& e) {
+                std::fprintf(stderr, "error: %s\n", e.what());
                 return 1;
             }
-        }
-        std::istream& in = use_stdin ? std::cin : file;
-
-        std::string line;
-        std::uint64_t line_number = 0;
-        stream_record record;
-        std::shared_ptr<const net::asn_db> snap;
-        while (!g_stop && std::getline(in, line)) {
-            ++line_number;
-            const std::string_view text = trim(line);
-            if (text.empty() || text.front() == '#') continue;
-            if (!parse_stream_record(text, record)) {
-                malformed_total.inc();
-                if (++malformed <= 8)
-                    std::fprintf(stderr, "warning: line %llu: malformed: %s\n",
-                                 static_cast<unsigned long long>(line_number),
-                                 line.c_str());
-                continue;
+            std::sort(days.begin(), days.end());
+            for (const int day : days) {
+                const daily_log log = read_log_file(
+                    fs::path(replay_path) / corpus_file_name(day), day);
+                bool more = true;
+                for (std::size_t i = 0; i < log.records.size() && more; ++i) {
+                    const observation& o = log.records[i];
+                    block.push_back(o.addr.hi(), o.addr.lo(), day, o.hits);
+                    if (block.size() == net::kWireDefaultBatch) more = flush();
+                }
+                if (!more || !flush()) break;
+                printed_reports =
+                    drain_reports(engine, printed_reports, ledger_ptr, tsdb);
             }
-            maybe_reload(host, enrich_ptr);
-            if (ledger_ptr)
-                ledger_ptr->note(
-                    record.day,
-                    enrich_ptr ? enrich_ptr->lookup(record.addr, snap) : nullptr,
-                    record.hits);
-            engine.push(record);
-            if (status_every > 0 &&
-                line_number % static_cast<std::uint64_t>(status_every) == 0) {
-                const stream_stats s = engine.stats();
-                const auto now = std::chrono::steady_clock::now();
-                const double dt =
-                    std::chrono::duration<double>(now - rate_mark).count();
-                const double r =
-                    dt > 0.0
-                        ? static_cast<double>(s.records - rate_records) / dt
-                        : 0.0;
-                rate_mark = now;
-                rate_records = s.records;
-                ingest_rate.set(static_cast<std::int64_t>(r));
-                print_status(s, r);
-                printed_reports = drain_reports(engine, printed_reports, ledger_ptr, tsdb);
+        } else {
+            // A .v6w wire capture or a .pcap of v6wire datagrams: each
+            // datagram is already one block.
+            const net::replay_result result = net::replay_wire_file(
+                replay_path, ingest, static_cast<std::uint16_t>(pcap_port));
+            if (!result.ok()) {
+                std::fprintf(stderr, "error: %s\n", result.error.c_str());
+                return 1;
             }
+            std::fprintf(stderr,
+                         "replayed %llu datagrams, %llu records%s (%llu rejected)\n",
+                         static_cast<unsigned long long>(result.datagrams),
+                         static_cast<unsigned long long>(result.records),
+                         result.stopped ? " [interrupted]" : "",
+                         static_cast<unsigned long long>(result.decode.rejected()));
         }
     }
 
