@@ -136,7 +136,7 @@ void BM_stream_seal_history(benchmark::State& state) {
         stream_engine engine(cfg);
         for (const simd::record_block& block : blocks) engine.push_block(block);
         engine.finish();
-        benchmark::DoNotOptimize(engine.latest_report());
+        benchmark::DoNotOptimize(engine.reports(static_cast<std::size_t>(days) - 1));
     }
     state.SetItemsProcessed(static_cast<std::int64_t>(days) * state.iterations());
 }

@@ -106,11 +106,12 @@ private:
     } m_;
 };
 
-/// Pushes one decoded block into the engine, tagging every record
-/// through one enrichment snapshot load and the ledger. Every ingest
-/// source shares it — the collector rx loop here, and v6stream's text
-/// feed, day-log corpus, wire capture and pcap replays — so all of them
-/// are byte-identical from the block on.
+/// Pushes one decoded block into the engine, then tags every record the
+/// engine accepted through one enrichment snapshot load and the ledger
+/// (late records and records pushed after finish() are not counted).
+/// Every ingest source shares it — the collector rx loop here, and
+/// v6stream's text feed, day-log corpus, wire capture and pcap replays
+/// — so all of them are byte-identical from the block on.
 ///
 /// Each record is looked up straight from its hi/lo lanes in the
 /// snapshot's flat interval table. `cache` (optional) is a caller-owned

@@ -67,6 +67,9 @@ namespace v6 {
 /// Sentinel for "no day sealed / observed yet".
 inline constexpr int kNoDay = std::numeric_limits<int>::min();
 
+/// 2^p registers per day-HLL sketch (~0.8% error).
+inline constexpr unsigned kDayHllPrecision = 14;
+
 /// Tuning and analysis parameters of a stream engine.
 struct stream_config {
     unsigned shards = 4;              ///< ingest parallelism (>= 1)
@@ -95,20 +98,15 @@ struct stream_config {
     /// estimates, P² hit-count quantiles) and with them those live
     /// series — bench/micro_sketch holds their cost under 3% of ingest.
     bool sketches = true;
-    unsigned hll_precision = 14;  ///< 2^p registers per day-HLL (~0.8% err)
     /// Every Nth accepted record feeds the P² hit-count quantiles
     /// (1 = all). P² costs ~100ns per observation on the serial feed
     /// path; systematic 1-in-8 sampling makes it free while leaving
     /// the quantiles of a mixed stream statistically unchanged.
     unsigned quantile_sample = 8;
 
-    /// Ring capacity of every live derived series (dashboard history).
-    std::size_t history = 512;
-
-    /// Drift detection over the derived series; events are raised into
-    /// `events` (or an engine-private log when null — v6stream passes
+    /// Drift alarms over the derived series are raised into this log
+    /// (an engine-private one when null — v6stream passes
     /// &obs::event_log::global() so --events-out sees them).
-    obs::drift_options drift{};
     obs::event_log* events = nullptr;
 
     /// Seal hook: the roll thread calls it once per seal, after the
@@ -224,8 +222,11 @@ public:
 
     /// Accepts one decoded block (SoA lanes + day/hits columns) under a
     /// single push-lock acquisition — the ingest path the wire decoder
-    /// feeds. Semantically identical to push() per record.
-    void push_block(const simd::record_block& block);
+    /// feeds. Semantically identical to push() per record. Returns the
+    /// open day the block started from (kNoDay if none), or nullopt
+    /// after finish(): in block order, a record was accepted iff its day
+    /// is not below the open day, which then becomes its day.
+    std::optional<int> push_block(const simd::record_block& block);
 
     /// Pushes staged partial batches to the shard queues (records stage
     /// until batch_size accumulates; call before waiting on a report
@@ -282,9 +283,9 @@ public:
     /// gain one point per sealed day.
     live_view live(std::size_t events_n = 32) const;
 
-    /// Day reports emitted so far, oldest first.
-    std::vector<day_report> reports() const;
-    std::optional<day_report> latest_report() const;
+    /// Day reports emitted so far, oldest first, from index `from` on:
+    /// passing the count already held copies only the new ones.
+    std::vector<day_report> reports(std::size_t from = 0) const;
 
     /// Blocks until the report for `day` exists (returns it) or the
     /// engine finishes without ever sealing `day` (returns nullopt).

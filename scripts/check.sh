@@ -305,6 +305,8 @@ EOF
         # the same days as a text feed, a day_<n>.log corpus and a wire
         # capture must print the same stdout (day reports, day_asn
         # lines, final) at any shard count, and routed rows must exist.
+        # A seventh run paces the capture (60,128 records at 30k/s, ~2 s)
+        # so reports drain mid-run, as the days seal: same stdout.
         echo "=== enrichment: v6stream sources x shard counts with --asn-db ==="
         smoke=$(mktemp -d)
         ./build/tools/v6synth --out="${smoke}/world" --routes \
@@ -327,9 +329,12 @@ EOF
                     >"${smoke}/${src}${shards}.json"
             done
         done
+        ./build/tools/v6stream --replay="${smoke}/feed.v6w" --rate=30000 \
+            --status-every=0 --asn-db="${smoke}/routes.asndb" --shards=4 \
+            >"${smoke}/paced4.json"
         grep -q '"type":"day_asn".*"asn":[1-9]' "${smoke}/wire1.json"
         grep -q '"type":"final"' "${smoke}/wire1.json"
-        for out in text1 dir1 wire4 text4 dir4; do
+        for out in text1 dir1 wire4 text4 dir4 paced4; do
             cmp "${smoke}/wire1.json" "${smoke}/${out}.json"
         done
         rm -rf "${smoke}"

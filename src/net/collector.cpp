@@ -2,6 +2,7 @@
 // threading model.
 #include "v6class/net/collector.h"
 
+#include <algorithm>
 #include <arpa/inet.h>
 #include <cerrno>
 #include <cstring>
@@ -14,6 +15,8 @@ namespace v6::net {
 
 void ingest_block(stream_engine& engine, const simd::record_block& block,
                   enrichment* enrich, asn_ledger* ledger, lookup_cache* cache) {
+    const std::optional<int> start = engine.push_block(block);
+    if (!ledger || !start) return;
     std::shared_ptr<const asn_db> snap;
     if (enrich) snap = enrich->snapshot();
     const asn_db* db = snap.get();
@@ -23,46 +26,40 @@ void ingest_block(stream_engine& engine, const simd::record_block& block,
     const bool memo = cache && db && db->max_length() <= 64;
     if (memo && !cache->matches(db)) cache->reset(db);
 
-    // Aggregate ledger rows per (day, info) so the ledger mutex is
-    // taken once per block. The scan is linear in the rows so far: cheap
-    // on clustered traffic, but scattered traffic keeps most records
-    // apart (the ingest_dup feed averages 19.2 rows per 43-record
-    // datagram), and then the scan and note_many's map lookups cost
-    // more than the table lookups themselves.
+    // The ledger counts only what the engine accepted (push_block's
+    // rule, replayed from the open day it returned). Rows aggregate per
+    // (day, info) so the ledger mutex is taken once per block. The scan
+    // is linear in the rows so far: cheap on clustered traffic, but
+    // scattered traffic keeps most records apart (the ingest_dup feed
+    // averages 19.2 rows per 43-record datagram), and then the scan and
+    // note_many's map lookups cost more than the table lookups.
+    int open = *start;
     std::vector<asn_ledger::note_row> agg;
-    if (ledger) {
-        const std::uint64_t* his = block.addrs.hi();
-        const std::uint64_t* los = block.addrs.lo();
-        for (std::size_t i = 0; i < block.size(); ++i) {
-            const enrich_info* info = nullptr;
-            if (db) {
-                if (memo) {
-                    const std::uint64_t hi = his[i];
-                    lookup_cache::slot& s =
-                        cache->slots[(hi * 0x9e3779b97f4a7c15ull) >>
-                                     (64 - 8)];  // kSlots == 256
-                    if (s.valid && s.hi == hi) {
-                        info = s.info;
-                    } else {
-                        info = db->lookup(hi, los[i]);
-                        s = {hi, info, true};
-                    }
-                } else {
-                    info = db->lookup(his[i], los[i]);
-                }
-            }
-            bool merged = false;
-            for (asn_ledger::note_row& a : agg)
-                if (a.day == block.day[i] && a.info == info) {
-                    ++a.records;
-                    a.hits += block.hits[i];
-                    merged = true;
-                    break;
-                }
-            if (!merged) agg.push_back({block.day[i], info, 1, block.hits[i]});
+    const std::uint64_t* his = block.addrs.hi();
+    const std::uint64_t* los = block.addrs.lo();
+    for (std::size_t i = 0; i < block.size(); ++i) {
+        if (block.day[i] < open) continue;
+        open = block.day[i];
+        const enrich_info* info = nullptr;
+        if (memo) {
+            lookup_cache::slot& s =  // kSlots == 256
+                cache->slots[(his[i] * 0x9e3779b97f4a7c15ull) >> (64 - 8)];
+            if (!s.valid || s.hi != his[i])
+                s = {his[i], db->lookup(his[i], los[i]), true};
+            info = s.info;
+        } else if (db) {
+            info = db->lookup(his[i], los[i]);
+        }
+        const auto a = std::find_if(agg.begin(), agg.end(), [&](const auto& r) {
+            return r.day == block.day[i] && r.info == info;
+        });
+        if (a == agg.end()) {
+            agg.push_back({block.day[i], info, 1, block.hits[i]});
+        } else {
+            ++a->records;
+            a->hits += block.hits[i];
         }
     }
-    engine.push_block(block);
     if (!agg.empty()) ledger->note_many(agg.data(), agg.size());
 }
 

@@ -13,6 +13,9 @@ namespace v6 {
 
 namespace {
 
+/// Ring capacity of every live derived series (dashboard history).
+constexpr std::size_t kLiveHistory = 512;
+
 /// FNV-1a over an address's 16 bytes read from its (hi, lo) lanes —
 /// address_hash's hash, with the running value snapshotted after the
 /// /48 and /64 bytes. Shard choice uses `p64` (fnv1a_p64); the day
@@ -159,8 +162,8 @@ void stream_engine::init_live() {
         std::string label = labels.empty() ? std::string{} : labels[0].second;
         live_.emplace_back(std::move(name), help,
                            reg.get_dgauge(metric, std::move(labels), help),
-                           cfg_.history);
-        if (detect) live_.back().detector.emplace(cfg_.drift);
+                           kLiveHistory);
+        if (detect) live_.back().detector.emplace();
         live_.back().metric = metric;
         live_.back().label = std::move(label);
         return live_.size() - 1;
@@ -234,7 +237,7 @@ stream_engine::stream_engine(stream_config cfg)
     if (cfg_.sketches) {
         shard_sketches_.reserve(cfg_.shards);
         for (unsigned i = 0; i < cfg_.shards; ++i)
-            shard_sketches_.emplace_back(cfg_.hll_precision);
+            shard_sketches_.emplace_back(kDayHllPrecision);
     }
     shards_.reserve(cfg_.shards);
     queues_.reserve(cfg_.shards);
@@ -271,13 +274,15 @@ void stream_engine::push(const stream_record& r) {
     }
 }
 
-void stream_engine::push_block(const simd::record_block& block) {
+std::optional<int> stream_engine::push_block(const simd::record_block& block) {
     // One lock acquisition per block (up to kWireMaxBatch records), not
     // per record, and one add per counter: the lock is held throughout,
     // so readers under push_mutex_ see whole blocks. fed goes first, so
     // fed >= records + late + dropped holds for lock-free readers too.
     std::unique_lock lock(push_mutex_);
     m_.fed.inc(block.size());
+    const std::optional<int> start =
+        finished_ ? std::nullopt : std::optional<int>(open_day_);
     const std::uint64_t* his = block.addrs.hi();
     const std::uint64_t* los = block.addrs.lo();
     std::uint64_t records = 0, hits = 0;
@@ -288,6 +293,7 @@ void stream_engine::push_block(const simd::record_block& block) {
         }
     m_.records.inc(records);
     m_.hits.inc(hits);
+    return start;
 }
 
 bool stream_engine::push_lane_locked(int day, std::uint64_t hi,
@@ -614,9 +620,9 @@ void stream_engine::merge_day_sketches() {
     // day's seal marker, so their sketch sets are quiescent (the
     // roll_mutex_ handshake ordered their writes before ours) and the
     // reset below is published to them the same way.
-    day_addresses_ = obs::hyperloglog(cfg_.hll_precision);
-    day_48s_ = obs::hyperloglog(cfg_.hll_precision);
-    day_64s_ = obs::hyperloglog(cfg_.hll_precision);
+    day_addresses_ = obs::hyperloglog(kDayHllPrecision);
+    day_48s_ = obs::hyperloglog(kDayHllPrecision);
+    day_64s_ = obs::hyperloglog(kDayHllPrecision);
     for (day_sketches& sk : shard_sketches_) {
         day_addresses_.merge(sk.addresses);
         day_48s_.merge(sk.p48s);
@@ -950,15 +956,10 @@ mra_series stream_engine::mra() const {
                                       distinct_addresses_locked() == 0);
 }
 
-std::vector<day_report> stream_engine::reports() const {
+std::vector<day_report> stream_engine::reports(std::size_t from) const {
     std::lock_guard lock(reports_mutex_);
-    return {reports_.begin(), reports_.end()};
-}
-
-std::optional<day_report> stream_engine::latest_report() const {
-    std::lock_guard lock(reports_mutex_);
-    if (reports_.empty()) return std::nullopt;
-    return reports_.back();
+    if (from >= reports_.size()) return {};
+    return {reports_.begin() + static_cast<std::ptrdiff_t>(from), reports_.end()};
 }
 
 std::optional<day_report> stream_engine::wait_for_report(int day) const {

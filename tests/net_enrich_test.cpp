@@ -520,5 +520,48 @@ TEST(AsnLedger, TakeDaySortsAndForgets) {
     EXPECT_EQ(top[0].records, 2u);
 }
 
+// The ledger counts exactly the records the engine accepted. A record
+// below the open day is dropped as late, and one pushed after finish()
+// is dropped too, so neither may reach a day cell, the lifetime cells
+// or the matched tallies — nor re-create a day already taken.
+TEST(AsnLedger, IngestCountsOnlyAcceptedRecords) {
+    stream_config cfg;
+    cfg.shards = 1;
+    stream_engine engine(cfg);
+    net::asn_ledger ledger;
+    const auto ingest = [&](std::initializer_list<stream_record> records) {
+        simd::record_block block;
+        for (const stream_record& r : records)
+            block.push_back(r.addr.hi(), r.addr.lo(), r.day, r.hits);
+        net::ingest_block(engine, block, nullptr, &ledger);
+    };
+    const auto at = [](std::uint64_t lo) {
+        return address::from_pair(0x20010db800000000ull, lo);
+    };
+    ingest({{362, at(1), 1}, {362, at(2), 1}, {363, at(3), 1},
+            {362, at(4), 5} /* late */, {363, at(5), 1}});
+    EXPECT_EQ(engine.stats().late_dropped, 1u);
+    const auto day362 = ledger.take_day(362);
+    ASSERT_EQ(day362.size(), 1u);
+    EXPECT_EQ(day362[0].records, 2u);
+    EXPECT_EQ(day362[0].hits, 2u);
+
+    ingest({{362, at(6), 1} /* late, after the day was taken */, {363, at(7), 1}});
+    engine.finish();
+    ingest({{364, at(8), 1}});  // dropped: after finish()
+    EXPECT_EQ(engine.stats().dropped, 1u);
+
+    EXPECT_TRUE(ledger.take_day(362).empty()) << "a late record re-created the day";
+    EXPECT_TRUE(ledger.take_day(364).empty());
+    const auto day363 = ledger.take_day(363);
+    ASSERT_EQ(day363.size(), 1u);
+    EXPECT_EQ(day363[0].records, 3u);
+    EXPECT_EQ(ledger.unmatched(), engine.stats().records);
+    const auto top = ledger.top(1);
+    ASSERT_EQ(top.size(), 1u);
+    EXPECT_EQ(top[0].records, engine.stats().records);
+    EXPECT_EQ(top[0].hits, engine.stats().hits);
+}
+
 }  // namespace
 }  // namespace v6

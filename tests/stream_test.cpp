@@ -685,13 +685,15 @@ TEST(StreamLiveTest, DayReportCarriesDerivedSeries) {
     for (int day = 1; day <= 2; ++day)
         for (unsigned i = 0; i < 100; ++i) engine.push(day, nth(i));
     engine.finish();
-    const auto report = engine.latest_report();
-    ASSERT_TRUE(report.has_value());
-    EXPECT_GE(report->gamma1, 1.0);
-    EXPECT_GE(report->gamma16, 1.0);
-    EXPECT_GE(report->stable_fraction, 0.0);
-    EXPECT_LE(report->stable_fraction, 1.0);
-    EXPECT_NEAR(report->est_day_addresses, 100.0, 5.0);
+    const auto reports = engine.reports(1);
+    ASSERT_EQ(reports.size(), 1u);
+    const day_report& report = reports[0];
+    EXPECT_EQ(report.day, 2);
+    EXPECT_GE(report.gamma1, 1.0);
+    EXPECT_GE(report.gamma16, 1.0);
+    EXPECT_GE(report.stable_fraction, 0.0);
+    EXPECT_LE(report.stable_fraction, 1.0);
+    EXPECT_NEAR(report.est_day_addresses, 100.0, 5.0);
 }
 
 // ------------------------------------------------ push vs push_block
@@ -820,8 +822,8 @@ TEST_P(StreamPushPathTest, PushAndPushBlockAgree) {
     // counts are pinned too.
     std::vector<std::uint64_t> per_shard(shards, 0);
     for (std::size_t d = 0; d < rb.size(); ++d) {
-        obs::hyperloglog addrs(cfg.hll_precision), p48s(cfg.hll_precision),
-            p64s(cfg.hll_precision);
+        obs::hyperloglog addrs(kDayHllPrecision), p48s(kDayHllPrecision),
+            p64s(kDayHllPrecision);
         int open = kNoDay;
         for (const stream_record& r : feed) {
             open = std::max(open, r.day);
@@ -845,6 +847,35 @@ TEST_P(StreamPushPathTest, PushAndPushBlockAgree) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Shards, StreamPushPathTest, testing::Values(1u, 3u));
+
+TEST(StreamEngineTest, PushBlockReturnsTheOpenDayItStartedFrom) {
+    // The caller replays the acceptance rule from this day (see
+    // net::ingest_block), so it must be the open day before the block.
+    stream_engine engine(small_config(2));
+    const std::vector<stream_record> a{{5, nth(1), 1}, {6, nth(2), 1}};
+    const std::vector<stream_record> b{{5, nth(3), 1}, {6, nth(4), 1}, {7, nth(5), 1}};
+    EXPECT_EQ(engine.push_block(to_block(a.data(), a.size())),
+              std::optional<int>(kNoDay));
+    EXPECT_EQ(engine.push_block(to_block(b.data(), b.size())),
+              std::optional<int>(6));
+    EXPECT_EQ(engine.stats().late_dropped, 1u);
+    engine.finish();
+    EXPECT_EQ(engine.push_block(to_block(a.data(), a.size())), std::nullopt);
+    EXPECT_EQ(engine.stats().dropped, a.size());
+}
+
+TEST(StreamEngineTest, ReportsFromAnIndexReturnOnlyTheNewerOnes) {
+    stream_engine engine(small_config(2));
+    for (int day = 1; day <= 3; ++day) engine.push(day, nth(1));
+    engine.finish();
+    ASSERT_EQ(engine.reports().size(), 3u);
+    const auto newer = engine.reports(1);
+    ASSERT_EQ(newer.size(), 2u);
+    EXPECT_EQ(newer[0].day, 2);
+    EXPECT_EQ(newer[1].day, 3);
+    EXPECT_TRUE(engine.reports(3).empty());
+    EXPECT_TRUE(engine.reports(7).empty());
+}
 
 // ------------------------------------------------ seal/tick lock order
 

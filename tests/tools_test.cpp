@@ -62,6 +62,13 @@ protected:
 
 fs::path ToolsTest::corpus_;
 
+std::string slurp(const fs::path& p) {
+    std::ifstream in(p);
+    std::ostringstream buf;
+    buf << in.rdbuf();
+    return buf.str();
+}
+
 TEST_F(ToolsTest, SynthWroteTheCorpus) {
     EXPECT_TRUE(fs::exists(corpus_ / "day_365.log"));
     EXPECT_TRUE(fs::exists(corpus_ / "routes.txt"));
@@ -396,6 +403,74 @@ TEST_F(ToolsTest, StreamWireReplayReloadsDbOnSighup) {
         << r.output;
 }
 
+TEST_F(ToolsTest, StreamPacedWireReplayPrintsDaysAsTheySeal) {
+    // A day's report is due when the day seals, not when the capture
+    // ends: a .v6w replay paced to last a few seconds must have printed
+    // day lines while it still runs. The whole stdout must then equal a
+    // line-rate replay's — when a report drains changes nothing printed.
+    const fs::path capture = corpus_ / "timing.v6w";
+    const fs::path paced = corpus_ / "timing_paced.json";
+    ASSERT_EQ(run(tool("v6synth") + " --wire=" + capture.string() +
+                  " --scale=0.03 --first=362 --last=368 2>/dev/null")
+                  .exit_code,
+              0);
+    const std::string replay = tool("v6stream") + " --replay=" +
+                               capture.string() + " --status-every=0 --shards=2";
+    // ~36.6k records at 10k records/s: about 3.7 s. At 2 s the process
+    // must still be running and have printed at least one day line.
+    const run_result probe = run(
+        "{ " + replay + " --rate=10000 >" + paced.string() +
+        " 2>/dev/null & pid=$!; sleep 2;"
+        " if kill -0 $pid 2>/dev/null; then"
+        "   grep -c '\"type\":\"day\",' " + paced.string() + ";"
+        " else echo exited; fi; wait $pid; }");
+    ASSERT_EQ(probe.exit_code, 0) << probe.output;
+    ASSERT_NE(probe.output.find_first_of("0123456789"), std::string::npos)
+        << "replay ended before the probe: " << probe.output;
+    EXPECT_GE(std::atoi(probe.output.c_str()), 1)
+        << "no day line printed mid-replay";
+
+    const run_result line_rate = run(replay + " --rate=0 2>/dev/null");
+    ASSERT_EQ(line_rate.exit_code, 0);
+    ASSERT_NE(line_rate.output.find("\"type\":\"final\""), std::string::npos);
+    EXPECT_EQ(slurp(paced), line_rate.output);
+}
+
+TEST_F(ToolsTest, StreamAsnLedgerCountsOnlyAcceptedRecords) {
+    // The engine drops a record below the open day as late; the per-ASN
+    // ledger must not count it either. Here ::4 (5 hits) arrives for
+    // day 362 after day 363 opened, so day 362's day_asn line holds ::1
+    // and ::2 only, matching the final object's records and late counts.
+    const fs::path routes = corpus_ / "late_routes.txt";
+    const fs::path db = corpus_ / "late.asndb";
+    const fs::path feed = corpus_ / "late_feed.txt";
+    std::ofstream(routes) << "2001:db8::/32 64500 de\n";
+    std::ofstream(feed) << "362 2001:db8::1\n362 2001:db8::2\n"
+                           "363 2001:db8::3\n362 2001:db8::4 5\n"
+                           "363 2001:db8::5\n";
+    ASSERT_EQ(run(tool("v6mkdb") + " --in=" + routes.string() +
+                  " --out=" + db.string() + " 2>/dev/null")
+                  .exit_code,
+              0);
+    const run_result r =
+        run(tool("v6stream") + " --status-every=0 --shards=1 --asn-db=" +
+            db.string() + " " + feed.string() + " 2>/dev/null");
+    ASSERT_EQ(r.exit_code, 0);
+    EXPECT_NE(r.output.find("{\"type\":\"day_asn\",\"day\":362,\"rows\":["
+                            "{\"asn\":64500,\"country\":\"de\","
+                            "\"records\":2,\"hits\":2}]}"),
+              std::string::npos)
+        << r.output;
+    EXPECT_NE(r.output.find("{\"type\":\"day_asn\",\"day\":363,\"rows\":["
+                            "{\"asn\":64500,\"country\":\"de\","
+                            "\"records\":2,\"hits\":2}]}"),
+              std::string::npos)
+        << r.output;
+    EXPECT_NE(r.output.find("\"records\":4,\"hits\":4,\"late_dropped\":1,"),
+              std::string::npos)
+        << r.output;
+}
+
 TEST_F(ToolsTest, ToolsPrintUsageOnHelp) {
     for (const char* name : {"v6classify", "v6mra", "v6dense", "v6stable",
                              "v6synth", "v6profile", "v6arpa", "v6stream",
@@ -413,13 +488,6 @@ TEST_F(ToolsTest, MissingInputFails) {
 }
 
 // ------------------------------------------------------------ metrics
-
-std::string slurp(const fs::path& p) {
-    std::ifstream in(p);
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    return buf.str();
-}
 
 TEST_F(ToolsTest, MetricsOutWritesValidJson) {
     const fs::path out = fs::temp_directory_path() / "v6class_tools_m.json";

@@ -3,16 +3,18 @@
 // SIGTERM, reload on SIGHUP, keep an optional flight recorder under
 // --state-dir, run an optional --alerts rules engine, and expose the
 // same /alerts endpoint, /healthz alerts fragment and dashboard alert
-// panel. daemon_host owns that common state; each tool keeps only what
-// is its own (the stream engine, the aggregator).
+// panel. daemon_host owns that common state and the daemon loop; each
+// tool keeps only what is its own (the stream engine, the aggregator).
 #pragma once
 
+#include <chrono>
 #include <csignal>
 #include <cstdio>
 #include <filesystem>
 #include <memory>
 #include <optional>
 #include <string>
+#include <thread>
 
 #include "v6class/obs/alert.h"
 #include "v6class/obs/dashboard.h"
@@ -25,7 +27,7 @@ namespace v6::tools {
 /// Raised by SIGINT/SIGTERM; the daemon loops poll it and then run
 /// their ordered shutdown.
 inline volatile std::sig_atomic_t g_stop = 0;
-/// Raised by SIGHUP; consumed by daemon_host::reload_requested().
+/// Raised by SIGHUP; consumed by daemon_host::reload_on_sighup().
 inline volatile std::sig_atomic_t g_reload = 0;
 
 /// One-line rule summary for the dashboard alert panel.
@@ -117,17 +119,32 @@ public:
         return alerts_ ? &*alerts_ : nullptr;
     }
 
-    /// Consumes a pending SIGHUP: true once per signal.
-    bool reload_requested() noexcept {
-        if (!g_reload) return false;
-        g_reload = 0;
-        return true;
+    /// The daemon loop: until SIGINT/SIGTERM, calls `poll` every 50 ms
+    /// and `tick` every `tick_seconds` (0 = never) when one is due. The
+    /// caller's ordered shutdown runs after it returns.
+    template <class Poll, class Tick>
+    void run(double tick_seconds, Poll&& poll, Tick&& tick) {
+        const std::chrono::duration<double> period(tick_seconds);
+        auto last_tick = std::chrono::steady_clock::now();
+        while (!g_stop) {
+            std::this_thread::sleep_for(std::chrono::milliseconds(50));
+            poll();
+            const auto now = std::chrono::steady_clock::now();
+            if (tick_seconds > 0 && now - last_tick >= period) {
+                last_tick = now;
+                tick();
+            }
+        }
     }
 
-    /// Reloads the alert rules file, preserving state for unchanged
-    /// rules; a failed reload logs and keeps the previous rules.
-    void reload_alerts() {
-        if (!alerts_) return;
+    /// Services a pending SIGHUP, true once per signal: reloads the
+    /// alert rules file, preserving state for unchanged rules; a failed
+    /// reload logs and keeps the previous rules. On true the caller
+    /// reloads its own state too.
+    bool reload_on_sighup() {
+        if (!g_reload) return false;
+        g_reload = 0;
+        if (!alerts_) return true;
         std::string error;
         if (alerts_->load_file(alerts_path_, &error)) {
             std::fprintf(stderr, "reloaded %s: %zu alert rules\n",
@@ -141,6 +158,7 @@ public:
                                  "keeping previous rules\n",
                          error.c_str());
         }
+        return true;
     }
 
     /// Mounts the history API over the flight recorder and GET /alerts

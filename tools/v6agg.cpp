@@ -28,7 +28,6 @@
 #include <chrono>
 #include <ctime>
 #include <memory>
-#include <thread>
 
 #include "daemon_host.h"
 #include "tool_common.h"
@@ -285,22 +284,17 @@ int main(int argc, char** argv) {
     obs::event_log::global().log(obs::event_level::info, "lifecycle",
                                  "v6agg started", {});
 
-    // Main loop: service reloads, evaluate alerts, commit the recorder.
-    auto last_tick = std::chrono::steady_clock::now();
-    while (!tools::g_stop) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(50));
-        if (host.reload_requested()) host.reload_alerts();
-        const auto now = std::chrono::steady_clock::now();
-        if (tick_seconds > 0 &&
-            now - last_tick >= std::chrono::duration<double>(tick_seconds)) {
-            last_tick = now;
+    // Main loop: service reloads; each tick evaluates the alerts and
+    // commits the recorder.
+    host.run(
+        tick_seconds, [&host] { host.reload_on_sighup(); },
+        [&] {
             if (alert_ptr)
                 alert_ptr->evaluate(fleet_sampler(agg),
                                     static_cast<std::int64_t>(
                                         std::time(nullptr)));
             if (tsdb) tsdb->commit();
-        }
-    }
+        });
 
     // Ordered shutdown: drain, stop ingest (flushes the newest day's
     // global estimates and commits), then stop serving and dump.

@@ -15,17 +15,20 @@
 // comments tolerated) from a file, a FIFO, or stdin. Every source but
 // --listen cuts its records into blocks of one wire datagram's shape
 // (text lines, day logs) or takes them a datagram at a time (.v6w,
-// .pcap), and one ingest step hands each block to net::ingest_block —
-// the call the --listen collector makes per receive burst — after
-// servicing a pending SIGHUP and pacing by --rate records/second. So
-// every source prints the same bytes for the same records. Emits JSON
-// lines on stdout: a "day" object per sealed day (the
-// asynchronous roll-up: windowed nd-stable split and n@/p density
-// classes), a "day_asn" object per sealed day when --asn-db is active,
-// a periodic "status" object, and a "final" object with the lifetime
-// spectrum on EOF or SIGINT / SIGTERM (graceful shutdown: the open day
-// is sealed and reported). With --asn-db, SIGHUP hot-reloads the
-// enrichment database without dropping a record.
+// .pcap), and one ingest step paces by --rate records/second and hands
+// each block to net::ingest_block — the call the --listen collector
+// makes per receive burst. So every source prints the same bytes for
+// the same records. One service step follows every block (and every
+// --listen poll, and the last seal): it applies a pending SIGHUP and
+// prints the day reports that appeared since its last run, so a day's
+// report prints as the day seals. Emits JSON lines on stdout: a "day"
+// object per sealed day (the asynchronous roll-up: windowed nd-stable
+// split and n@/p density classes), a "day_asn" object per sealed day
+// when --asn-db is active, a periodic "status" object, and a "final"
+// object with the lifetime spectrum on EOF or SIGINT / SIGTERM
+// (graceful shutdown: the open day is sealed and reported). With
+// --asn-db, SIGHUP hot-reloads the enrichment database without
+// dropping a record.
 //
 // With --state-dir=DIR the daemon keeps a durable flight recorder
 // (v6::obs::tsdb) under DIR/tsdb: every day seal appends the live
@@ -51,7 +54,6 @@
 #include <ctime>
 #include <filesystem>
 #include <memory>
-#include <thread>
 
 #include "daemon_host.h"
 #include "tool_common.h"
@@ -65,7 +67,6 @@
 #include "v6class/stream/engine.h"
 
 using namespace v6;
-using tools::g_stop;
 
 namespace {
 
@@ -270,42 +271,18 @@ void print_final(const stream_snapshot& s, std::uint64_t malformed) {
     std::printf("}\n");
 }
 
-/// Drains and prints day reports not yet printed (each followed by its
-/// per-ASN breakdown when a ledger is active); returns the new count.
-/// With a flight recorder, the sealed day's top-ASN rows become durable
-/// series here too (the live derived series are recorded by the seal
-/// hook).
-std::size_t drain_reports(const stream_engine& engine, std::size_t printed,
-                          net::asn_ledger* ledger,
-                          obs::tsdb::database* tsdb = nullptr) {
-    const std::vector<day_report> reports = engine.reports();
-    bool flushed = false;
-    for (std::size_t i = printed; i < reports.size(); ++i) {
-        print_day_report(reports[i]);
-        if (ledger) {
-            const auto rows = ledger->take_day(reports[i].day);
-            if (!rows.empty()) {
-                print_day_asn(reports[i].day, rows);
-                if (tsdb) {
-                    net::flush_day_asn(*tsdb, reports[i].day, rows);
-                    flushed = true;
-                }
-            }
-        }
-    }
-    if (flushed) tsdb->commit();
-    if (reports.size() > printed) std::fflush(stdout);
-    return reports.size();
-}
-
-/// Applies a pending SIGHUP: hot-reloads the enrichment db and the
-/// alert rules file. Both follow the same contract — the swap happens
-/// only after the replacement loaded cleanly, so a failed reload logs
-/// and keeps the previous state serving. Unchanged alert rules keep
-/// their firing/pending state across the reload.
-void maybe_reload(tools::daemon_host& host, net::enrichment* enrich) {
-    if (!host.reload_requested()) return;
-    if (enrich) {
+/// The service step. A pending SIGHUP first hot-reloads the alert rules
+/// file and the enrichment db; each swap happens only after the
+/// replacement loaded cleanly, so a failed reload logs and keeps the
+/// previous state serving. Then it prints the day reports past the
+/// first `printed`, each followed by its per-ASN breakdown when a ledger
+/// is active (with a flight recorder, the day's top-ASN rows become
+/// durable series here too; the seal hook records the live derived
+/// series). Returns the new count of printed reports.
+std::size_t service_step(tools::daemon_host& host, net::enrichment* enrich,
+                         const stream_engine& engine, std::size_t printed,
+                         net::asn_ledger* ledger, obs::tsdb::database* tsdb) {
+    if (host.reload_on_sighup() && enrich) {
         std::string error;
         if (enrich->reload(&error)) {
             const auto snap = enrich->snapshot();
@@ -320,7 +297,25 @@ void maybe_reload(tools::daemon_host& host, net::enrichment* enrich) {
                          enrich->path().c_str(), error.c_str());
         }
     }
-    host.reload_alerts();
+    const std::vector<day_report> fresh = engine.reports(printed);
+    if (fresh.empty()) return printed;
+    bool flushed = false;
+    for (const day_report& report : fresh) {
+        print_day_report(report);
+        if (ledger) {
+            const auto rows = ledger->take_day(report.day);
+            if (!rows.empty()) {
+                print_day_asn(report.day, rows);
+                if (tsdb) {
+                    net::flush_day_asn(*tsdb, report.day, rows);
+                    flushed = true;
+                }
+            }
+        }
+    }
+    if (flushed) tsdb->commit();
+    std::fflush(stdout);
+    return printed + fresh.size();
 }
 
 /// One periodic federation push: the node's status frame plus any
@@ -626,6 +621,10 @@ int main(int argc, char** argv) {
 
     std::uint64_t malformed = 0;
     std::size_t printed_reports = 0;
+    const auto service = [&] {
+        printed_reports = service_step(host, enrich_ptr, engine, printed_reports,
+                                       ledger_ptr, tsdb);
+    };
     auto rate_mark = std::chrono::steady_clock::now();
     std::uint64_t rate_records = 0;
     // One status object; its rate is accepted records per second since
@@ -643,9 +642,8 @@ int main(int argc, char** argv) {
     };
 
     if (listen_given) {
-        // Live collector mode: the rx thread owns the socket; this loop
-        // only drains reports, emits periodic status, and services
-        // SIGHUP reloads until SIGINT/SIGTERM.
+        // Live collector mode: the rx thread owns the socket; the daemon
+        // loop polls the service step and the status line, and ticks.
         net::collector_config ccfg;
         ccfg.port = static_cast<std::uint16_t>(std::atol(listen_text.c_str()));
         ccfg.registry = &reg;
@@ -658,21 +656,18 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "listening on udp port %u\n",
                      static_cast<unsigned>(collector.port()));
         std::fflush(stderr);
-        auto last_status = std::chrono::steady_clock::now();
-        auto last_tick = last_status;
-        while (!g_stop) {
-            std::this_thread::sleep_for(std::chrono::milliseconds(50));
-            maybe_reload(host, enrich_ptr);
-            printed_reports =
-                drain_reports(engine, printed_reports, ledger_ptr, tsdb);
-            const auto now = std::chrono::steady_clock::now();
-            // Wall-clock tick: a listening daemon may go days between
-            // seals, so the throughput gauges are recorded (and the
-            // alert rules evaluated) on unix-seconds cadence too.
-            if (tick_seconds > 0 && (tsdb || alert_ptr || pusher) &&
-                now - last_tick >=
-                    std::chrono::duration<double>(tick_seconds)) {
-                last_tick = now;
+        // Wall-clock tick: a listening daemon may go days between seals,
+        // so the throughput gauges are recorded (and the alert rules
+        // evaluated) on unix-seconds cadence too.
+        host.run(
+            tsdb || alert_ptr || pusher ? tick_seconds : 0,
+            [&] {
+                service();
+                const auto since = std::chrono::steady_clock::now() - rate_mark;
+                if (status_every > 0 && since >= std::chrono::seconds(2))
+                    status();  // resets rate_mark
+            },
+            [&] {
                 push_telemetry(pusher.get(), engine, push_event_cursor);
                 const auto now_unix =
                     static_cast<std::int64_t>(std::time(nullptr));
@@ -688,13 +683,7 @@ int main(int argc, char** argv) {
                 }
                 if (alert_ptr)
                     alert_ptr->evaluate(live_sampler(engine), now_unix);
-            }
-            if (status_every > 0 &&
-                now - last_status >= std::chrono::seconds(2)) {
-                status();
-                last_status = now;
-            }
-        }
+            });
         // Stop receiving BEFORE sealing: everything the socket accepted
         // is in the engine when finish() runs below.
         collector.stop();
@@ -706,18 +695,18 @@ int main(int argc, char** argv) {
                      static_cast<unsigned long long>(cs.decode.rejected()));
     } else {
         // Every other source cuts its records into blocks of one wire
-        // datagram's shape and hands each to this one ingest step: a
-        // pending SIGHUP is serviced between blocks, --rate paces by
-        // records, and the stop flag ends the feed, which still flows
-        // into the ordered seal-then-report shutdown below.
+        // datagram's shape and hands each to this one ingest step:
+        // --rate paces by records, the service step follows every
+        // block, and the stop flag ends the feed, which still flows into
+        // the ordered seal-then-report shutdown below.
         net::lookup_cache cache;
-        const net::pacer pace(rate, &g_stop);
+        const net::pacer pace(rate, &tools::g_stop);
         std::uint64_t ingested = 0;
         const auto ingest = [&](const simd::record_block& block) {
-            maybe_reload(host, enrich_ptr);
             if (!pace.wait(ingested)) return false;
             net::ingest_block(engine, block, enrich_ptr, ledger_ptr, &cache);
             ingested += block.size();
+            service();
             return true;
         };
         simd::record_block block(net::kWireDefaultBatch);
@@ -749,8 +738,6 @@ int main(int argc, char** argv) {
                         line % static_cast<std::uint64_t>(status_every) == 0) {
                         if (!flush()) return false;
                         status();
-                        printed_reports =
-                            drain_reports(engine, printed_reports, ledger_ptr, tsdb);
                         return true;
                     }
                     return block.size() < net::kWireDefaultBatch || flush();
@@ -762,10 +749,8 @@ int main(int argc, char** argv) {
                                      static_cast<unsigned long long>(e.line_number),
                                      e.text.c_str());
                 });
-            flush();
         } else if (std::filesystem::is_directory(replay_path)) {
-            // A day_<n>.log corpus directory, in day order; each day's
-            // reports drain once its last block is in.
+            // A day_<n>.log corpus directory, in day order.
             namespace fs = std::filesystem;
             std::vector<int> days;
             try {
@@ -781,18 +766,15 @@ int main(int argc, char** argv) {
                 return 1;
             }
             std::sort(days.begin(), days.end());
-            for (const int day : days) {
+            bool more = true;
+            for (std::size_t d = 0; d < days.size() && more; ++d) {
                 const daily_log log = read_log_file(
-                    fs::path(replay_path) / corpus_file_name(day), day);
-                bool more = true;
+                    fs::path(replay_path) / corpus_file_name(days[d]), days[d]);
                 for (std::size_t i = 0; i < log.records.size() && more; ++i) {
                     const observation& o = log.records[i];
-                    block.push_back(o.addr.hi(), o.addr.lo(), day, o.hits);
+                    block.push_back(o.addr.hi(), o.addr.lo(), days[d], o.hits);
                     if (block.size() == net::kWireDefaultBatch) more = flush();
                 }
-                if (!more || !flush()) break;
-                printed_reports =
-                    drain_reports(engine, printed_reports, ledger_ptr, tsdb);
             }
         } else {
             // A .v6w wire capture or a .pcap of v6wire datagrams: each
@@ -810,17 +792,19 @@ int main(int argc, char** argv) {
                          result.stopped ? " [interrupted]" : "",
                          static_cast<unsigned long long>(result.decode.rejected()));
         }
+        flush();  // the text feed's or the corpus's last partial block
     }
 
     // Ordered shutdown (also the SIGINT/SIGTERM path, since the loops above
     // merely break out on g_stop): mark the server draining so probes stop
     // routing here, then finish() seals the open day and joins the roll
-    // thread; we drain the reports and print the final object, stop the
-    // metrics server, and only then write the metrics/events dumps — so the
-    // files reflect the fully-settled registry, including the last seal.
+    // thread; one last service step prints the remaining reports, then the
+    // final object; we stop the metrics server, and only then write the
+    // metrics/events dumps — so the files reflect the fully-settled
+    // registry, including the last seal.
     server.set_state("draining");
     engine.finish();
-    printed_reports = drain_reports(engine, printed_reports, ledger_ptr, tsdb);
+    service();
     // Final federation push: the aggregator sees the last seal's status
     // (and any shutdown events) before the connection drops.
     push_telemetry(pusher.get(), engine, push_event_cursor);
